@@ -1591,6 +1591,50 @@ impl View {
     // Populations and identity
     // ------------------------------------------------------------------
 
+    /// Does the population of `v` read a class in `set` — a wholly
+    /// included class, a class named in a population query, a class a
+    /// `like` include admits — directly or through the virtual classes it
+    /// reads? While such a class is being populated on this thread it is
+    /// excluded from every read, so a population of `v` computed now would
+    /// be wrong: [`DataSource::is_member`] does not probe `v`, and
+    /// [`Self::population`] does not cache it.
+    fn population_reads_any(&self, v: ClassId, set: &HashSet<ClassId>) -> bool {
+        let virt = self.virt.read();
+        let schema = self.schema.read();
+        let mut seen = HashSet::new();
+        let mut stack = vec![v];
+        while let Some(c) = stack.pop() {
+            if !seen.insert(c) {
+                continue;
+            }
+            let Some(info) = virt.get(&c) else {
+                continue;
+            };
+            let reads: Vec<ClassId> = info
+                .includes
+                .iter()
+                .flat_map(|inc| match inc {
+                    BoundInclude::Class(c) => vec![*c],
+                    BoundInclude::Query(q) | BoundInclude::Imaginary(q) => Expr::Select(q.clone())
+                        .free_names()
+                        .into_iter()
+                        .filter_map(|n| schema.class_by_name(n))
+                        .collect(),
+                    BoundInclude::Like { spec } => schema
+                        .classes()
+                        .filter(|cl| conforms_to(&schema, cl.id, *spec))
+                        .map(|cl| cl.id)
+                        .collect(),
+                })
+                .collect();
+            if reads.iter().any(|r| set.contains(r)) {
+                return true;
+            }
+            stack.extend(reads);
+        }
+        false
+    }
+
     /// Current versions of all source databases (the population cache key).
     fn source_versions(&self) -> Vec<u64> {
         self.sources.iter().map(|h| h.read().version()).collect()
@@ -1758,6 +1802,11 @@ impl View {
     ) -> ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopOutcome)> {
         let versions = self.source_versions();
         let schema_len = self.schema.read().len();
+        // A population computed while a class it reads is excluded (being
+        // populated further up this thread's stack) is served but never
+        // cached.
+        let populating = self.with_eval(|s| s.populating.clone());
+        let cacheable = populating.is_empty() || !self.population_reads_any(c, &populating);
         if self.materialization != Materialization::AlwaysRecompute {
             if let Some(cached) = self.pop_shard(c).read().get(&c) {
                 if cached.versions == versions && cached.schema_len == schema_len {
@@ -1771,7 +1820,9 @@ impl View {
             if let Some((updated, retested)) = self.try_incremental(c, &versions, schema_len)? {
                 self.bump_stat(Stat::IncrementalUpdate);
                 let oids = Arc::new(updated);
-                self.store_pop(c, versions, schema_len, oids.clone());
+                if cacheable {
+                    self.store_pop(c, versions, schema_len, oids.clone());
+                }
                 return Ok((oids, plan::PopOutcome::Delta { retested }));
             }
         }
@@ -1786,7 +1837,9 @@ impl View {
             self.compute_population(c)
         };
         let oids = Arc::new(result?);
-        self.store_pop(c, versions, schema_len, oids.clone());
+        if cacheable {
+            self.store_pop(c, versions, schema_len, oids.clone());
+        }
         Ok((oids, plan::PopOutcome::FullRecompute))
     }
 
@@ -1946,6 +1999,9 @@ impl View {
         est_rows: Option<u64>,
     ) -> ov_query::Result<BTreeSet<Oid>> {
         let (populating, depth) = self.with_eval(|s| (s.populating.clone(), s.body_depth));
+        // Workers run in the coordinator's fault scope: its armed
+        // failpoints fire on its chunks.
+        let fault_scope = ov_oodb::faults::scope();
         // Batch size is thread-scoped; read it on the coordinator and apply
         // it inside every worker's chunk loop.
         let batch = ov_query::batch_rows();
@@ -2037,7 +2093,9 @@ impl View {
                                 plan::add_actuals(&actuals);
                                 r
                             };
-                            let (r, a) = plan::with_scan_actuals(scan);
+                            let (r, a) = ov_oodb::faults::in_scope(fault_scope, || {
+                                plan::with_scan_actuals(scan)
+                            });
                             for (slot, v) in shared.iter().zip([
                                 a.rows_scanned,
                                 a.rows_matched,
@@ -2389,11 +2447,11 @@ impl View {
         Ok(out)
     }
 
-    /// If `q` is a canonical specialization query over an *imported* class
-    /// with an equality conjunct `var.A = literal` on an attribute the
-    /// source database indexes, returns the candidate oids from the index
-    /// together with the index's `Class.Attr` label (the full filter is
-    /// still applied by the caller).
+    /// If `q` is a canonical specialization query with an equality
+    /// conjunct `var.A = literal` that [`DataSource::indexed_lookup`] can
+    /// serve, returns the candidate oids together with the index's
+    /// `Class.Attr` label (the full filter is still applied by the caller).
+    /// Queries and populations share that one hide/import/purity rule.
     fn index_candidates(&self, q: &SelectExpr) -> Option<(Vec<Oid>, String)> {
         let [(var, Expr::Name(class_name))] = q.bindings.as_slice() else {
             return None;
@@ -2402,12 +2460,9 @@ impl View {
             return None;
         }
         let class = self.lookup_class(*class_name)?;
-        let ClassKind::Imported { source, orig } = self.kinds.read().get(&class).cloned()? else {
-            return None;
-        };
-        // Find an equality conjunct `var.A = lit` (either orientation).
-        let filter = q.filter.as_deref()?;
-        let (attr, value) = find_eq_conjunct(filter, *var)?;
+        let (attr, value) = ov_query::planner::conjuncts(q.filter.as_deref()?)
+            .into_iter()
+            .find_map(|leg| ov_query::planner::eq_conjunct(leg, *var))?;
         // Cost-based veto: on a low-NDV attribute each index posting list
         // is a large fraction of the extent, so probing the index and then
         // re-filtering loses to the straight compiled scan. Unmeasured
@@ -2415,10 +2470,8 @@ impl View {
         if ov_query::planner_enabled() && !ov_query::planner::index_worthwhile(*class_name, attr) {
             return None;
         }
-        let db = self.sources[source].read();
-        let candidates = db.indexed_deep_lookup(orig, attr, &value)?;
-        let label = format!("{}.{attr}", db.schema.class(orig).name);
-        Some((candidates, label))
+        let candidates = DataSource::indexed_lookup(self, class, attr, value)?;
+        Some((candidates, format!("{class_name}.{attr}")))
     }
 
     /// Maps a core tuple to its imaginary oid (§5.1): "there could be a
@@ -2556,6 +2609,74 @@ impl View {
         Err(QueryError::from(OodbError::UnknownObject(oid)))
     }
 
+    /// The nearest visible ancestors of a hidden class: the classes its
+    /// objects present under outside the view's own definitions. Empty
+    /// when every ancestor is hidden too.
+    fn visible_ancestors(&self, schema: &Schema, c: ClassId) -> Vec<ClassId> {
+        let mut visible: Vec<ClassId> = schema
+            .ancestors(c)
+            .into_iter()
+            .filter(|&a| !self.is_hidden_class(a))
+            .collect();
+        let all = visible.clone();
+        visible.retain(|&a| !all.iter().any(|&b| b != a && schema.is_subclass(b, a)));
+        visible
+    }
+
+    /// The class whose definition of `name` resolution picks when it starts
+    /// from `roots`: the minimal visible, non-abstract definitions across
+    /// the roots' ancestors, with conflicts settled by the view's policy.
+    fn defining_class(
+        &self,
+        schema: &Schema,
+        roots: &[ClassId],
+        name: Symbol,
+    ) -> ov_query::Result<ClassId> {
+        let mut defining: Vec<ClassId> = Vec::new();
+        for &root in roots {
+            for anc in ClassGraph::ancestors(schema, root) {
+                if let Some(def) = schema.class(anc).own_attr(name) {
+                    if !def.is_abstract() && !self.is_hidden_attr(anc, name, schema) {
+                        defining.push(anc);
+                    }
+                }
+            }
+        }
+        defining.sort();
+        defining.dedup();
+        if defining.is_empty() {
+            return Err(QueryError::from(OodbError::UnknownAttr {
+                class: schema.class(roots[0]).name,
+                attr: name,
+            }));
+        }
+        let minimal: Vec<ClassId> = defining
+            .iter()
+            .copied()
+            .filter(|&c| !defining.iter().any(|&d| d != c && schema.is_subclass(d, c)))
+            .collect();
+        Ok(match minimal.as_slice() {
+            [one] => *one,
+            several => match &self.policy {
+                ConflictPolicy::Error => {
+                    return Err(QueryError::from(OodbError::Schizophrenia {
+                        class: schema.class(roots[0]).name,
+                        attr: name,
+                        defined_in: several.iter().map(|&c| schema.class(c).name).collect(),
+                    }))
+                }
+                ConflictPolicy::CreationOrder => several[0],
+                ConflictPolicy::Priority(order) => order
+                    .iter()
+                    .find_map(|n| {
+                        let id = schema.class_by_name(*n)?;
+                        several.contains(&id).then_some(id)
+                    })
+                    .unwrap_or(several[0]),
+            },
+        })
+    }
+
     /// All classes from which attribute resolution may start for `oid`:
     /// its presented class (or nearest visible ancestors if that class is
     /// hidden) plus every virtual class whose population contains it.
@@ -2566,15 +2687,7 @@ impl View {
     ) -> ov_query::Result<Vec<ClassId>> {
         let base = self.view_class_of(oid)?;
         let mut roots: Vec<ClassId> = if self.is_hidden_class(base) && self.body_depth() == 0 {
-            // Nearest visible ancestors.
-            let schema = self.schema.read();
-            let mut visible: Vec<ClassId> = schema
-                .ancestors(base)
-                .into_iter()
-                .filter(|&a| !self.is_hidden_class(a))
-                .collect();
-            let all = visible.clone();
-            visible.retain(|&a| !all.iter().any(|&b| b != a && schema.is_subclass(b, a)));
+            let visible = self.visible_ancestors(&self.schema.read(), base);
             if visible.is_empty() {
                 return Err(ViewError::NotVisible(oid).into());
             }
@@ -2870,33 +2983,6 @@ impl View {
     }
 }
 
-/// Searches the conjuncts of `filter` for `var.Attr = literal` (either
-/// orientation); returns the attribute and literal.
-fn find_eq_conjunct(filter: &Expr, var: Symbol) -> Option<(Symbol, Value)> {
-    let mut stack = vec![filter];
-    while let Some(e) = stack.pop() {
-        if let Expr::Binary { op, lhs, rhs } = e {
-            match op {
-                ov_oodb::BinOp::And => {
-                    stack.push(lhs);
-                    stack.push(rhs);
-                }
-                ov_oodb::BinOp::Eq => {
-                    for (a, b) in [(lhs, rhs), (rhs, lhs)] {
-                        if let (Expr::Attr { recv, name, args }, Expr::Lit(v)) = (&**a, &**b) {
-                            if args.is_empty() && **recv == Expr::Name(var) {
-                                return Some((*name, v.clone()));
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    None
-}
-
 /// Rewrites parameter references to literal values inside an include spec.
 fn substitute_include(inc: &IncludeSpec, params: &[Symbol], args: &[Value]) -> IncludeSpec {
     let subst = |e: &Expr| -> Option<Expr> {
@@ -2961,15 +3047,7 @@ impl DataSource for View {
         let c = self.view_class_of(oid)?;
         if self.is_hidden_class(c) {
             // Present the object under its nearest visible ancestor.
-            let schema = self.schema.read();
-            let mut visible: Vec<ClassId> = schema
-                .ancestors(c)
-                .into_iter()
-                .filter(|&a| !self.is_hidden_class(a))
-                .collect();
-            let all = visible.clone();
-            visible.retain(|&a| !all.iter().any(|&b| b != a && schema.is_subclass(b, a)));
-            visible
+            self.visible_ancestors(&self.schema.read(), c)
                 .first()
                 .copied()
                 .ok_or_else(|| ViewError::NotVisible(oid).into())
@@ -3015,9 +3093,10 @@ impl DataSource for View {
         if self.schema.read().is_subclass(vc, class) {
             return Ok(true);
         }
-        // Membership through an overlapping virtual class below `class`.
+        // Membership through an overlapping virtual class below `class`,
+        // skipping classes whose population reads one being populated.
         let populating = self.with_eval(|s| s.populating.clone());
-        let candidates: Vec<ClassId> = {
+        let mut candidates: Vec<ClassId> = {
             let virt = self.virt.read();
             let schema = self.schema.read();
             virt.keys()
@@ -3025,6 +3104,9 @@ impl DataSource for View {
                 .filter(|&v| !populating.contains(&v) && schema.is_subclass(v, class))
                 .collect()
         };
+        if !populating.is_empty() {
+            candidates.retain(|&v| !self.population_reads_any(v, &populating));
+        }
         for v in candidates {
             if self.population(v)?.contains(&oid) {
                 return Ok(true);
@@ -3040,50 +3122,7 @@ impl DataSource for View {
         let _span = ov_oodb::span!("view.resolve", attr = name);
         let roots = self.membership_roots(oid, Some(name))?;
         let schema = self.schema.read();
-        // Candidate defining classes across all membership roots.
-        let mut defining: Vec<ClassId> = Vec::new();
-        for &root in &roots {
-            for anc in ClassGraph::ancestors(&*schema, root) {
-                if let Some(def) = schema.class(anc).own_attr(name) {
-                    if !def.is_abstract() && !self.is_hidden_attr(anc, name, &schema) {
-                        defining.push(anc);
-                    }
-                }
-            }
-        }
-        defining.sort();
-        defining.dedup();
-        if defining.is_empty() {
-            return Err(QueryError::from(OodbError::UnknownAttr {
-                class: schema.class(roots[0]).name,
-                attr: name,
-            }));
-        }
-        let minimal: Vec<ClassId> = defining
-            .iter()
-            .copied()
-            .filter(|&c| !defining.iter().any(|&d| d != c && schema.is_subclass(d, c)))
-            .collect();
-        let chosen = match minimal.as_slice() {
-            [one] => *one,
-            several => match &self.policy {
-                ConflictPolicy::Error => {
-                    return Err(QueryError::from(OodbError::Schizophrenia {
-                        class: schema.class(roots[0]).name,
-                        attr: name,
-                        defined_in: several.iter().map(|&c| schema.class(c).name).collect(),
-                    }))
-                }
-                ConflictPolicy::CreationOrder => several[0],
-                ConflictPolicy::Priority(order) => order
-                    .iter()
-                    .find_map(|n| {
-                        let id = schema.class_by_name(*n)?;
-                        several.contains(&id).then_some(id)
-                    })
-                    .unwrap_or(several[0]),
-            },
-        };
+        let chosen = self.defining_class(&schema, &roots, name)?;
         let def = schema.class(chosen).own_attr(name).expect("defines it");
         Ok(match &def.body {
             AttrBody::Stored => ResolvedAttr::Stored,
@@ -3174,26 +3213,17 @@ impl DataSource for View {
     }
 
     fn resolution_is_class_pure(&self, class: ClassId, name: Symbol) -> bool {
-        // Parameterized templates can mint new virtual classes mid-scan
-        // (through `apply` in a filter); give up on caching entirely.
-        if !self.templates.is_empty() {
-            return false;
-        }
         // Mirrors `membership_roots`: resolving `name` is a pure function
         // of the class only when no virtual class could contribute a
         // *relevant* definition — otherwise membership in that class's
         // population makes resolution per-object, and the per-class cache
-        // would conflate members with non-members.
+        // would conflate members with non-members. A template instantiated
+        // mid-scan adds a virtual class this verdict did not see; it also
+        // bumps `res_gen`, which drops every cached verdict.
         let populating = self.with_eval(|s| s.populating.clone());
         let schema = self.schema.read();
         let roots: Vec<ClassId> = if self.is_hidden_class(class) && self.body_depth() == 0 {
-            let mut visible: Vec<ClassId> = schema
-                .ancestors(class)
-                .into_iter()
-                .filter(|&a| !self.is_hidden_class(a))
-                .collect();
-            let all = visible.clone();
-            visible.retain(|&a| !all.iter().any(|&b| b != a && schema.is_subclass(b, a)));
+            let visible = self.visible_ancestors(&schema, class);
             if visible.is_empty() {
                 // `resolve` errors for every such object; don't cache that.
                 return false;
@@ -3218,6 +3248,67 @@ impl DataSource for View {
                             .is_some_and(|d| !d.is_abstract())
                 })
         })
+    }
+
+    fn indexed_lookup(&self, class: ClassId, attr: Symbol, value: &Value) -> Option<Vec<Oid>> {
+        // The source indexes hold raw stored fields, so they answer for the
+        // view only where every object of the deep extent resolves `attr`
+        // to that field: no hide touches it (hides bind outside the view's
+        // own definitions, as in `is_hidden_attr`), and each class of the
+        // subtree resolves it, class-purely, to a stored definition. Any
+        // doubt returns `None` and the caller scans, reproducing whatever
+        // the per-object resolution does. Virtual and imaginary classes have
+        // no index; below an imported class, virtual descendants draw their
+        // members from imported classes already in the subtree (see
+        // `extent`), so only the imported ones are probed.
+        if matches!(
+            self.kinds.read().get(&class),
+            Some(ClassKind::Virtual | ClassKind::Imaginary { .. })
+        ) {
+            return None;
+        }
+        let imported: Vec<(ClassId, usize, ClassId)> = {
+            let schema = self.schema.read();
+            let mut subtree = vec![class];
+            subtree.extend(schema.strict_descendants(class));
+            if self.body_depth() == 0
+                && (self.hidden_attrs.iter().any(|&(_, a)| a == attr)
+                    || subtree.iter().any(|&d| self.is_hidden_class(d)))
+            {
+                return None;
+            }
+            let kinds = self.kinds.read();
+            let mut imported = Vec::new();
+            for d in subtree {
+                if let Some(&ClassKind::Imported { source, orig }) = kinds.get(&d) {
+                    let def_in = self.defining_class(&schema, &[d], attr).ok()?;
+                    let stored = schema
+                        .class(def_in)
+                        .own_attr(attr)
+                        .is_some_and(|def| matches!(def.body, AttrBody::Stored));
+                    if !stored {
+                        return None;
+                    }
+                    imported.push((d, source, orig));
+                }
+            }
+            imported
+        };
+        let mut out = Vec::new();
+        for (d, source, orig) in imported {
+            if !self.resolution_is_class_pure(d, attr) {
+                return None;
+            }
+            out.extend(
+                self.sources[source]
+                    .read()
+                    .store
+                    .index_lookup(orig, attr, value)?,
+            );
+        }
+        out.sort();
+        out.dedup();
+        Some(out)
     }
 
     fn named_object(&self, name: Symbol) -> Option<Oid> {

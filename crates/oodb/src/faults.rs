@@ -26,6 +26,11 @@
 //! * **Observable.** Every fire bumps `faults.injected` in
 //!   [`crate::metrics`] and emits a `fault.injected` span into the flight
 //!   recorder.
+//! * **Scoped.** Arming, seeding, clearing and status belong to the
+//!   calling thread's [`FaultScope`], and a site fires only on threads in
+//!   the scope that armed it. Worker threads doing a caller's work (the
+//!   parallel scan chunks) adopt the caller's scope with [`in_scope`]. So
+//!   concurrent tests in one process never hit each other's schedules.
 //!
 //! ## Sites
 //!
@@ -42,9 +47,10 @@
 //! | `checkpoint.write` | snapshot temp-file write |
 //! | `checkpoint.rename` | snapshot atomic rename (crash before commit) |
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -52,14 +58,51 @@ use parking_lot::Mutex;
 
 use crate::error::OodbError;
 
-/// Master switch: `true` iff at least one site is armed. Reading it is the
-/// *entire* cost of the disabled path.
+/// Master switch: `true` iff at least one site is armed, in any scope.
+/// Reading it is the *entire* cost of the disabled path.
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-/// Is any failpoint armed? One relaxed atomic load.
+/// Is any failpoint armed (in any scope)? One relaxed atomic load.
 #[inline(always)]
 pub fn enabled() -> bool {
     ARMED.load(Ordering::Relaxed)
+}
+
+/// The set of threads that see one set of armed sites: a thread's own, or
+/// the one it adopted with [`in_scope`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct FaultScope(u64);
+
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's scope; 0 until first asked for.
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The calling thread's fault scope (a fresh one on first use).
+pub fn scope() -> FaultScope {
+    SCOPE.with(|s| {
+        if s.get() == 0 {
+            s.set(NEXT_SCOPE.fetch_add(1, Ordering::Relaxed));
+        }
+        FaultScope(s.get())
+    })
+}
+
+/// Runs `f` with the calling thread in `scope`, restoring its own scope
+/// afterwards (also on unwind). Worker threads spawned to do a caller's
+/// work wrap it in the caller's [`scope`], so the caller's armed sites
+/// fire on them.
+pub fn in_scope<R>(scope: FaultScope, f: impl FnOnce() -> R) -> R {
+    struct Restore(u64);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPE.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPE.with(|s| s.replace(scope.0)));
+    f()
 }
 
 /// What an armed failpoint does when its schedule fires.
@@ -148,9 +191,15 @@ struct Site {
 
 #[derive(Default)]
 struct Registry {
-    /// Global seed the per-site streams derive from.
-    seed: u64,
-    sites: BTreeMap<&'static str, Site>,
+    /// Per-scope seed the per-site streams derive from (0 when unset).
+    seeds: BTreeMap<FaultScope, u64>,
+    sites: BTreeMap<(FaultScope, &'static str), Site>,
+}
+
+impl Registry {
+    fn sync_armed(&self) {
+        ARMED.store(!self.sites.is_empty(), Ordering::Relaxed);
+    }
 }
 
 fn registry() -> &'static Mutex<Registry> {
@@ -158,23 +207,25 @@ fn registry() -> &'static Mutex<Registry> {
     REG.get_or_init(|| Mutex::new(Registry::default()))
 }
 
-/// Sets the global seed for probability-mode streams. Sites armed *after*
-/// this call derive their stream from the new seed; re-arming a site
-/// restarts its stream. Defaults to 0.
+/// Sets this scope's seed for probability-mode streams. Sites armed
+/// *after* this call derive their stream from the new seed; re-arming a
+/// site restarts its stream. Defaults to 0.
 pub fn set_seed(seed: u64) {
-    registry().lock().seed = seed;
+    registry().lock().seeds.insert(scope(), seed);
 }
 
-/// Arms `site` with a schedule and action. Re-arming replaces the previous
-/// configuration and resets the site's hit count and RNG stream.
+/// Arms `site` in this scope with a schedule and action. Re-arming
+/// replaces the previous configuration and resets the site's hit count and
+/// RNG stream.
 pub fn arm(site: &'static str, schedule: FaultSchedule, action: FaultAction) {
     if let FaultSchedule::Probability(p) = schedule {
         assert!((0.0..=1.0).contains(&p), "fault probability out of [0,1]");
     }
+    let scope = scope();
     let mut reg = registry().lock();
-    let rng = reg.seed ^ fnv1a(site);
+    let rng = reg.seeds.get(&scope).copied().unwrap_or(0) ^ fnv1a(site);
     reg.sites.insert(
-        site,
+        (scope, site),
         Site {
             schedule,
             action,
@@ -183,33 +234,37 @@ pub fn arm(site: &'static str, schedule: FaultSchedule, action: FaultAction) {
             rng,
         },
     );
-    ARMED.store(true, Ordering::Relaxed);
+    reg.sync_armed();
 }
 
-/// Disarms `site`. Other sites stay armed.
+/// Disarms `site` in this scope. Other sites stay armed.
 pub fn disarm(site: &str) {
+    let scope = scope();
     let mut reg = registry().lock();
-    reg.sites.remove(site);
-    if reg.sites.is_empty() {
-        ARMED.store(false, Ordering::Relaxed);
-    }
+    reg.sites
+        .retain(|(sc, name), _| !(*sc == scope && *name == site));
+    reg.sync_armed();
 }
 
-/// Disarms every site and restores the zero-cost disabled path.
+/// Disarms every site of this scope; once no scope has an armed site, the
+/// zero-cost disabled path is back.
 pub fn clear() {
+    let scope = scope();
     let mut reg = registry().lock();
-    reg.sites.clear();
-    ARMED.store(false, Ordering::Relaxed);
+    reg.sites.retain(|(sc, _), _| *sc != scope);
+    reg.sync_armed();
 }
 
-/// Per-site status: `(site, hits, fired)` for every armed site, sorted by
-/// name. For `.faults status` and test assertions.
+/// Per-site status of this scope: `(site, hits, fired)` for every armed
+/// site, sorted by name. For `.faults status` and test assertions.
 pub fn status() -> Vec<(&'static str, u64, u64)> {
+    let scope = scope();
     registry()
         .lock()
         .sites
         .iter()
-        .map(|(name, s)| (*name, s.hits, s.fired))
+        .filter(|((sc, _), _)| *sc == scope)
+        .map(|((_, name), s)| (*name, s.hits, s.fired))
         .collect()
 }
 
@@ -218,9 +273,10 @@ pub fn status() -> Vec<(&'static str, u64, u64)> {
 #[cold]
 fn hit_armed(site: &'static str) -> Result<(), InjectedFault> {
     // Decide under the lock; act (sleep / panic) outside it.
+    let scope = scope();
     let decision = {
         let mut reg = registry().lock();
-        let Some(s) = reg.sites.get_mut(site) else {
+        let Some(s) = reg.sites.get_mut(&(scope, site)) else {
             return Ok(());
         };
         s.hits += 1;
@@ -251,7 +307,8 @@ fn hit_armed(site: &'static str) -> Result<(), InjectedFault> {
     }
 }
 
-/// Evaluates the failpoint `site`: a no-op unless some site is armed.
+/// Evaluates the failpoint `site`: a no-op unless some site is armed; fires
+/// only when this thread's scope armed `site`.
 /// Prefer the [`failpoint!`](crate::failpoint) macro at call sites.
 #[inline(always)]
 pub fn hit(site: &'static str) -> Result<(), InjectedFault> {
@@ -284,13 +341,14 @@ macro_rules! failpoint {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Mutex as StdMutex;
 
-    /// The registry is process-global; tests serialize here so they cannot
-    /// observe each other's schedules (same pattern as `trace::tests`).
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    /// Arming is scoped per thread, but [`enabled`] reads the process-wide
+    /// switch; tests that assert on it, or arm anything, serialize here
+    /// (same pattern as `trace::tests`).
+    pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: StdMutex<()> = StdMutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -424,5 +482,38 @@ mod tests {
             other => panic!("expected injected fault, got {other:?}"),
         }
         clear();
+    }
+
+    #[test]
+    fn armed_sites_fire_only_in_the_arming_scope() {
+        let _l = test_lock();
+        clear();
+        arm(
+            "faults.test.scope",
+            FaultSchedule::From(1),
+            FaultAction::Error,
+        );
+        let mine = scope();
+        // Another thread is another scope: the site is invisible there,
+        // and its `status`/`clear` do not touch ours.
+        std::thread::spawn(|| {
+            assert!(hit("faults.test.scope").is_ok());
+            assert!(status().is_empty());
+            clear();
+        })
+        .join()
+        .unwrap();
+        assert!(hit("faults.test.scope").is_err());
+        // A worker that adopts the scope sees the site; afterwards it is
+        // back in its own scope.
+        std::thread::spawn(move || {
+            assert!(in_scope(mine, || hit("faults.test.scope")).is_err());
+            assert!(hit("faults.test.scope").is_ok());
+        })
+        .join()
+        .unwrap();
+        assert_eq!(status(), vec![("faults.test.scope", 2, 2)]);
+        clear();
+        assert!(!enabled());
     }
 }

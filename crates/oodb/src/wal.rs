@@ -666,6 +666,7 @@ mod tests {
 
     #[test]
     fn injected_torn_write_recovers_prefix() {
+        let _l = crate::faults::tests::test_lock();
         let path = tmp("fp-torn");
         let (mut wal, _) = Wal::open(&path).unwrap();
         wal.append(&WalRecord::Remove { oid: Oid(9) }).unwrap();

@@ -36,8 +36,9 @@
 //! behavior, and uncovered computed bodies still delegate to the
 //! interpreter (`Evaluator::run_computed`). Expressions outside the
 //! covered subset (`Lit`, scan variables, `self` in bodies, `Attr`,
-//! tuple/set/list constructors, `Unary`, `Binary`, `If`) simply fail to
-//! compile and the caller falls back to the interpreter, recording the
+//! tuple/set/list constructors, `Unary`, `Binary`, `If`, nested `select`
+//! and `exists`, aggregates, parameterized-class application) simply fail
+//! to compile and the caller falls back to the interpreter, recording the
 //! scan as interpreted in EXPLAIN output ([`crate::plan::Engine`]).
 //!
 //! **Consistency model.** A batch's prefetched probes are a snapshot
@@ -56,7 +57,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use ov_oodb::{BinOp, ClassId, Expr, Oid, SelectExpr, Symbol, UnOp, Value};
+use ov_oodb::{AggFunc, BinOp, ClassId, Expr, Oid, SelectExpr, Symbol, UnOp, Value};
 
 use crate::budget::{self, Budget};
 use crate::error::{QueryError, Result};
@@ -255,6 +256,12 @@ enum Inst {
     MakeSet { n: usize },
     /// Pop `n` values, build a list.
     MakeList { n: usize },
+    /// Pop a collection, apply the aggregate (the interpreter's own
+    /// `eval::aggregate`, so values and errors match by construction).
+    Aggregate(AggFunc),
+    /// Pop `nargs` arguments, push the extent of parameterized class
+    /// `name` instantiated on them, as `DataSource::apply` answers it.
+    Apply { name: Symbol, nargs: usize },
     /// Run sub-select `sub` (of the program's [`Program::subs`] table) as
     /// a subroutine at depth `base + rel`, pushing its result: a set (or
     /// bare element for `select the`), or a boolean for `exists`. The
@@ -598,8 +605,21 @@ impl Compiler {
                 let sub = self.compile_sub(q, true)?;
                 self.insts.push(Inst::Select { sub, rel });
             }
-            // Everything else — aggregates, free names, `isa`, `Apply` —
-            // is interpreter territory.
+            Expr::Aggregate { func, arg } => {
+                self.emit(arg, rel + 1)?;
+                self.insts.push(Inst::Aggregate(*func));
+            }
+            Expr::Apply { name, args } => {
+                for a in args {
+                    self.emit(a, rel + 1)?;
+                }
+                self.insts.push(Inst::Apply {
+                    name: *name,
+                    nargs: args.len(),
+                });
+            }
+            // Everything else — free names, `isa` — is interpreter
+            // territory.
             _ => return None,
         }
         Some(())
@@ -957,6 +977,14 @@ impl<'a> Scan<'a> {
                     let vals = self.stack.split_off(self.stack.len() - n);
                     self.stack.push(Value::List(vals));
                 }
+                Inst::Aggregate(func) => {
+                    let v = self.stack.pop().expect("operand on stack");
+                    self.stack.push(eval::aggregate(func, &v)?);
+                }
+                Inst::Apply { name, nargs } => {
+                    let args = self.stack.split_off(self.stack.len() - nargs);
+                    self.stack.push(self.src.apply(name, &args)?);
+                }
                 Inst::Select { sub, rel } => {
                     let s = prog.subs[sub].clone();
                     let v = self.run_sub(&s, base + rel, frame)?;
@@ -1303,9 +1331,8 @@ impl<'a> Scan<'a> {
                 Ok((res.clone(), body.clone()))
             }
             Some(SlotEntry::Impure) => {
-                // The verdict ("re-resolve every row") is itself cached —
-                // a hit, even though a fresh resolve follows.
-                self.cache_hits += 1;
+                // The cached verdict is "re-resolve every row": a miss.
+                self.cache_misses += 1;
                 Ok((self.src.resolve(oid, name).map(Arc::new)?, None))
             }
             None => {
@@ -1942,10 +1969,10 @@ mod tests {
     #[test]
     fn uncovered_shapes_do_not_compile() {
         for src in [
-            "count((select Q from Q in Person))",
-            "P in Person", // free name `Person`
-            "self.Age",    // `self` is not a scan variable
-            "maggy.Age",   // free name
+            "P isa Person", // `isa` probes membership per row
+            "P in Person",  // free name `Person`
+            "self.Age",     // `self` is not a scan variable
+            "maggy.Age",    // free name
         ] {
             let expr = parse_expr(src).unwrap();
             assert!(
@@ -2032,7 +2059,7 @@ mod tests {
     fn forced_mode_counts_interpreter_fallbacks() {
         let db = staff();
         let before = compile_fallbacks();
-        let expr = parse_expr("count((select Q from Q in Person))").unwrap();
+        let expr = parse_expr("select P from P in Person where P isa Person").unwrap();
         with_engine_mode(EngineMode::Compiled, || {
             assert!(try_run_compiled(&db, &expr).is_none());
         });

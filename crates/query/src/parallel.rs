@@ -235,6 +235,9 @@ where
     // The coordinator's budget is re-installed on every worker so all
     // chunks drain the same shared step/row counters.
     let budget = crate::budget::current();
+    // …and so is the coordinator's fault scope, so failpoints it armed
+    // fire on its chunks.
+    let fault_scope = ov_oodb::faults::scope();
     // Workers cannot see the coordinator's thread-local actuals frame, so
     // when one is open each worker measures its chunk in a frame of its
     // own and folds the *work counters* into these shared cells; the
@@ -274,6 +277,7 @@ where
                         Some(b) => crate::budget::with(b.clone(), work),
                         None => work(),
                     };
+                    let work = || ov_oodb::faults::in_scope(fault_scope, work);
                     if track {
                         let (r, a) = crate::plan::with_scan_actuals(work);
                         let cells = [

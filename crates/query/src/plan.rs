@@ -91,9 +91,13 @@ pub struct ScanActuals {
     pub steps: u64,
     /// Budget rows charged while the scan ran (same bracketing).
     pub rows_charged: u64,
-    /// Resolution-slot cache hits (compiled engine only).
+    /// Resolution-slot cache hits: attribute accesses served a cached
+    /// class-pure resolution (compiled engine only).
     pub cache_hits: u64,
-    /// Resolution-slot cache misses (compiled engine only).
+    /// Resolution-slot cache misses: accesses that ran
+    /// `DataSource::resolve`, because the slot had no verdict for the class
+    /// yet or the source could not vouch for class purity (compiled engine
+    /// only).
     pub cache_misses: u64,
 }
 

@@ -20,9 +20,9 @@
 //!   attempted when reordering provably cannot change the result set
 //!   (independent class-extent bindings, no budget installed).
 //! - **Plans expire.** A cached plan is invalidated when the source's
-//!   `resolution_generation` moves and when EXPLAIN ANALYZE actuals
-//!   diverge from the estimate by more than [`DRIFT_FACTOR`]× in either
-//!   direction (the misestimate also counts in `planner.replans`).
+//!   `resolution_generation` moves and when the actual row count's
+//!   [`q_error`] against the estimate reaches [`DRIFT_FACTOR`] (the
+//!   misestimate also counts in `planner.replans`).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -48,9 +48,16 @@ pub const DEFAULT_CARDINALITY: u64 = 1024;
 /// extent and the batched sequential scan wins.)
 pub const PUSHDOWN_MIN_NDV: u64 = 4;
 
-/// Estimate-vs-actual divergence (either direction) that evicts a
-/// cached plan and forces a re-plan.
+/// Estimate-vs-actual divergence (either direction, as a [`q_error`])
+/// that evicts a cached plan and forces a re-plan.
 pub const DRIFT_FACTOR: u64 = 10;
+
+/// Row count below which [`q_error`] stops telling estimates apart: every
+/// access path is cheap at that size, so a miss there cannot pick a bad
+/// plan. It must exceed a tenth of the no-statistics estimate of an
+/// equality leg (`DEFAULT_CARDINALITY` × `DEFAULT_SELECTIVITY` ≈ 341), or
+/// every cold key probe (one row) would count as a 10× misestimate.
+pub const QERROR_ROW_FLOOR: u64 = 64;
 
 // ---------------------------------------------------------------------
 // Enablement: a process default plus a thread-scoped override, same
@@ -224,18 +231,24 @@ pub fn demote_to_seq(expr: &Expr) {
     }
 }
 
+/// The q-error of a row estimate (Moerkotte et al., VLDB 2009): the
+/// factor by which it misses the actual count in either direction, with
+/// both sides raised to [`QERROR_ROW_FLOOR`] first.
+pub fn q_error(est_rows: u64, actual_rows: u64) -> f64 {
+    let est = est_rows.max(QERROR_ROW_FLOOR) as f64;
+    let act = actual_rows.max(QERROR_ROW_FLOOR) as f64;
+    est.max(act) / est.min(act)
+}
+
 /// Feeds a query's measured result rows back into the cache: when the
-/// actuals diverge from the cached estimate by more than
-/// [`DRIFT_FACTOR`]× in either direction the plan is evicted (counted
-/// in `planner.replans`) and the next execution re-plans from fresher
-/// statistics.
+/// [`q_error`] of the cached estimate reaches [`DRIFT_FACTOR`] the plan
+/// is evicted (counted in `planner.replans`) and the next execution
+/// re-plans from fresher statistics.
 pub fn observe_actual(expr: &Expr, actual_rows: u64) {
     let (fp, _) = fingerprint_expr(expr);
     let mut guard = cache().lock().expect("plan cache poisoned");
     if let Some(c) = guard.get(&fp) {
-        let est = c.est_rows.max(1);
-        let act = actual_rows.max(1);
-        if est / act >= DRIFT_FACTOR || act / est >= DRIFT_FACTOR {
+        if q_error(c.est_rows, actual_rows) >= DRIFT_FACTOR as f64 {
             guard.remove(&fp);
             metric_counter!("planner.replans").inc();
         }
@@ -834,6 +847,59 @@ mod tests {
         assert!(cache().lock().unwrap().get(&fp).is_none(), "plan evicted");
         assert_eq!(metric_counter!("planner.replans").get(), before + 1);
         let _ = class;
+    }
+
+    #[test]
+    fn cold_key_probe_keeps_its_plan() {
+        // No statistics: the equality leg estimates ≈341 rows of a
+        // default-size class, and a key probe returns one. Under the row
+        // floor that is no misestimate, so the plan stays cached and the
+        // next run hits it instead of re-planning every time.
+        let db = ov_oodb::Database::new(sym("PlannerColdKey"));
+        let expr =
+            parse_expr("select P from P in PlannerColdKeyClass where P.Name = \"p7\"").unwrap();
+        let Expr::Select(q) = &expr else {
+            unreachable!()
+        };
+        let first = plan_select(&db, &expr, q);
+        assert!(!first.cache_hit);
+        assert!(q_error(first.est_rows, 1) < DRIFT_FACTOR as f64);
+        for _ in 0..3 {
+            observe_actual(&expr, 1);
+            assert!(plan_select(&db, &expr, q).cache_hit, "plan evicted");
+        }
+    }
+
+    #[test]
+    fn misestimate_canary_still_replans() {
+        // The E19 canary's case: statistics say `Name` is a key, so the
+        // probe estimates one row; thousands come back. That q-error is far
+        // past the drift factor, so the plan is evicted and re-planned.
+        let class = measured(
+            100_000,
+            "Name",
+            (0..200).map(|i| Value::str(&format!("p{i}"))),
+        );
+        let db = ov_oodb::Database::new(sym("PlannerCanary"));
+        let expr =
+            parse_expr(&format!("select P from P in {class} where P.Name = \"p7\"")).unwrap();
+        let Expr::Select(q) = &expr else {
+            unreachable!()
+        };
+        let d = plan_select(&db, &expr, q);
+        assert!(d.est_rows <= 5, "est={}", d.est_rows);
+        let before = metric_counter!("planner.replans").get();
+        observe_actual(&expr, 5_000);
+        assert!(metric_counter!("planner.replans").get() > before);
+        assert!(!plan_select(&db, &expr, q).cache_hit, "plan must re-plan");
+    }
+
+    #[test]
+    fn q_error_is_symmetric_and_floored() {
+        assert_eq!(q_error(1000, 10), q_error(10, 1000));
+        assert_eq!(q_error(0, 1), 1.0, "both under the floor");
+        assert_eq!(q_error(341, 1), 341.0 / QERROR_ROW_FLOOR as f64);
+        assert!(q_error(1000, 1) >= DRIFT_FACTOR as f64);
     }
 
     #[test]

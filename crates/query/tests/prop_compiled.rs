@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use ov_oodb::{sym, AttrDef, BinOp, Database, Expr, Type, UnOp, Value};
+use ov_oodb::{sym, AggFunc, AttrDef, BinOp, Database, Expr, Type, UnOp, Value};
 use ov_query::{compile_predicate, Budget, Env, Evaluator, QueryError, Scan};
 use proptest::prelude::*;
 
@@ -511,6 +511,104 @@ proptest! {
                 batch,
                 max_steps
             );
+        }
+    }
+}
+
+/// An aggregate over a random argument: covered scalar shapes (so
+/// `count(1)` and `sum("ab")` error), a correlated sub-select projecting a
+/// number or a string (`sum` over strings errors), a set of sets for
+/// `flatten`, and a parameterized-class application (which a base
+/// database refuses).
+fn arb_agg() -> impl Strategy<Value = Expr> {
+    let func = prop_oneof![
+        Just(AggFunc::Count),
+        Just(AggFunc::Sum),
+        Just(AggFunc::Min),
+        Just(AggFunc::Max),
+        Just(AggFunc::Avg),
+        Just(AggFunc::Flatten),
+    ];
+    let sub = |proj: &'static str| {
+        arb_pred2("Q", "V").prop_map(move |f| {
+            Expr::Select(ov_oodb::SelectExpr {
+                distinct: false,
+                the: false,
+                proj: Box::new(Expr::attr(Expr::name("Q"), proj)),
+                bindings: vec![(sym("Q"), Expr::name("Person"))],
+                filter: Some(Box::new(f)),
+            })
+        })
+    };
+    let arg = prop_oneof![
+        arb_pred(),
+        sub("Age"),
+        sub("Name"),
+        prop::collection::vec(arb_pred(), 0..3).prop_map(|items| {
+            Expr::SetCons(items.into_iter().map(|e| Expr::SetCons(vec![e])).collect())
+        }),
+        arb_pred().prop_map(|e| Expr::Apply {
+            name: sym("Older"),
+            args: vec![e],
+        }),
+    ];
+    (func, arg).prop_map(|(func, arg)| Expr::Aggregate {
+        func,
+        arg: Box::new(arg),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Aggregates compile, and match the interpreter bit for bit: the same
+    /// value or error, the same step count, and a budget breach at the
+    /// same point, at every batch width.
+    #[test]
+    fn aggregates_are_bit_identical(e in arb_agg(), max_steps in 0u64..400) {
+        let db = db();
+        let rows = rows(&db);
+        let bi = Arc::new(Budget::new().with_max_steps(max_steps));
+        let want = interp_scan_all(&db, &e, &rows, bi.clone());
+        for batch in [0usize, 1, 3, 1024] {
+            let bc = Arc::new(Budget::new().with_max_steps(max_steps));
+            let got = ov_query::with_batch_rows(batch, || {
+                compiled_scan_all(&db, &e, &rows, batch, bc.clone())
+            });
+            prop_assert!(got.is_some(), "`{}` should compile", e);
+            prop_assert_eq!(&got.unwrap(), &want, "expr: {} (batch={}, max_steps={})", e, batch, max_steps);
+            prop_assert_eq!(
+                bc.steps_used(),
+                bi.steps_used(),
+                "step divergence on {} (batch={}, max_steps={})",
+                e,
+                batch,
+                max_steps
+            );
+        }
+    }
+}
+
+/// The aggregate error paths the random test relies on, spelled out: each
+/// errors in both engines with the same error.
+#[test]
+fn aggregate_errors_match_the_interpreter() {
+    let db = db();
+    let rows = rows(&db);
+    for src in [
+        "count(1)",
+        "sum(V.Name)",
+        "sum((select Q.Name from Q in Person))",
+        "flatten({V.Age})",
+        "min(Older(V.Age))",
+    ] {
+        let e = ov_query::parse_expr(src).unwrap();
+        let want = interp_scan_all(&db, &e, &rows, Arc::new(Budget::new()));
+        assert!(want.1.is_some(), "`{src}` should error");
+        for batch in [0usize, 1, 3, 1024] {
+            let got = compiled_scan_all(&db, &e, &rows, batch, Arc::new(Budget::new()))
+                .unwrap_or_else(|| panic!("`{src}` should compile"));
+            assert_eq!(got, want, "`{src}` (batch={batch})");
         }
     }
 }

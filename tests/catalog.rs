@@ -396,3 +396,89 @@ fn base_write_delta_propagates_through_the_stack() {
     assert!(!e.contains("FullRecompute"), "got: {e}");
     assert_eq!(s.query(sym("Top"), "count(Rich)").unwrap(), Value::Int(2));
 }
+
+/// `View::refresh` on the top of a stack repopulates `Adult`, `Rich` and
+/// `Elite` in turn. `Rich`'s delta retest asks whether an object is an
+/// `Adult`, which may probe `Elite` (a virtual subclass of `Adult`) while
+/// `Rich` is still being populated. `Elite` reads `Rich`, so computed then
+/// it would miss members and cache the miss. Whether the probe reaches
+/// `Elite` first depends on the view's hash seeds, so the stack is bound
+/// many times, each with fresh seeds.
+#[test]
+fn refresh_of_a_stacked_view_matches_a_full_recompute() {
+    let stack = [
+        r#"
+        create view Adults;
+        import all classes from database Staff;
+        class Adult includes (select P from Person where P.Age >= 21);
+        "#,
+        r#"
+        create view Earners;
+        import all classes from view Adults;
+        class Rich includes (select A from Adult where A.Income >= 100);
+        "#,
+        r#"
+        create view Top;
+        import all classes from view Earners;
+        class Elite includes (select R from Rich where R.Age >= 60);
+        "#,
+    ];
+    let defs: Vec<ViewDef> = stack[..2]
+        .iter()
+        .map(|s| ViewDef::from_script(s).unwrap())
+        .collect();
+    let top_def = ViewDef::from_script(stack[2]).unwrap();
+    let bind = |sys: &System, materialization| {
+        top_def
+            .binder(sys)
+            .over_all(&defs)
+            .options(
+                ViewOptions::builder()
+                    .materialization(materialization)
+                    .build(),
+            )
+            .bind()
+            .unwrap()
+    };
+    for round in 0..48i64 {
+        let mut sys = System::new();
+        execute_script(
+            &mut sys,
+            r#"
+            database Staff;
+            class Person type [Name: string, Age: integer, Income: integer];
+            object #1 in Person value [Name: "Maggy", Age: 66, Income: 120];
+            object #2 in Person value [Name: "Bart", Age: 10, Income: 0];
+            object #3 in Person value [Name: "Tony", Age: 62, Income: 80];
+            object #4 in Person value [Name: "Ann", Age: 30, Income: 200];
+            "#,
+        )
+        .unwrap();
+        let top = bind(&sys, Materialization::Incremental);
+        top.refresh().unwrap();
+        // Tony gets a raise into `Rich`, and so into `Elite`.
+        let db = sys.database(sym("Staff")).unwrap();
+        let tony = {
+            let d = db.read();
+            let person = d.schema.class_by_name(sym("Person")).unwrap();
+            d.deep_extent(person)
+                .into_iter()
+                .find(|&o| {
+                    d.store.get(o).unwrap().value.get(sym("Name")) == Some(&Value::str("Tony"))
+                })
+                .unwrap()
+        };
+        db.write()
+            .set_attr(tony, sym("Income"), Value::Int(150 + round))
+            .unwrap();
+        top.refresh().unwrap();
+        let fresh = bind(&sys, Materialization::AlwaysRecompute);
+        let elite = top.extent_of(sym("Elite")).unwrap();
+        assert_eq!(
+            elite,
+            fresh.extent_of(sym("Elite")).unwrap(),
+            "round {round}: refreshed Elite diverged from a full recompute"
+        );
+        assert_eq!(elite.len(), 2, "round {round}: Maggy and Tony");
+    }
+}
