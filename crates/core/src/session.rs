@@ -1117,7 +1117,7 @@ mod tests {
             }
         };
         std::thread::scope(|scope| {
-            scope.spawn(|| run(ov_query::EngineMode::Compiled, "[seq compiled b="));
+            scope.spawn(|| run(ov_query::EngineMode::Compiled, "[seq compiled]"));
             scope.spawn(|| run(ov_query::EngineMode::Interp, "[seq]"));
         });
         assert_eq!(ov_query::engine_mode(), default_before);

@@ -1713,9 +1713,7 @@ fn explain_population_reports_all_three_paths() {
     assert_eq!(
         scan.kind,
         ScanKind::Sequential {
-            engine: ov_query::Engine::Compiled {
-                batch: ov_query::batch_rows()
-            }
+            engine: ov_query::Engine::Compiled,
         },
         "{cold}"
     );
@@ -1789,9 +1787,7 @@ fn explain_population_reports_index_pushdown() {
         scan.kind,
         ScanKind::IndexPushdown {
             index: "Person.City".into(),
-            engine: ov_query::Engine::Compiled {
-                batch: ov_query::batch_rows()
-            }
+            engine: ov_query::Engine::Compiled
         },
         "{trace}"
     );

@@ -1971,11 +1971,6 @@ impl View {
         Ok(false)
     }
 
-    /// Filters `extent` by `filter` (with `var` bound to each object) on a
-    /// scoped worker pool (see [`PopBracket`] for the eval-state bracket). Workers inherit the calling thread's evaluation
-    /// state — the in-progress population set (cycle guard) and the
-    /// privileged-visibility depth — so the filter sees exactly what a
-    /// sequential scan would see. The first error (in chunk order) wins.
     /// The planner's row estimate for a canonical specialization query:
     /// estimated class cardinality × filter selectivity, from the
     /// statistics plane. `None` when the planner is off, the query is not
@@ -1990,6 +1985,12 @@ impl View {
         ov_query::estimate_select(*class_name, *var, q.filter.as_deref())
     }
 
+    /// Filters `extent` by `filter` (with `var` bound to each object) on a
+    /// scoped worker pool (see [`PopBracket`] for the eval-state bracket).
+    /// Workers inherit the calling thread's evaluation state — the
+    /// in-progress population set (cycle guard) and the
+    /// privileged-visibility depth — so the filter sees exactly what a
+    /// sequential scan would see. The first error (in chunk order) wins.
     fn parallel_filter(
         &self,
         extent: &[Oid],
@@ -2002,13 +2003,10 @@ impl View {
         // Workers run in the coordinator's fault scope: its armed
         // failpoints fire on its chunks.
         let fault_scope = ov_oodb::faults::scope();
-        // Batch size is thread-scoped; read it on the coordinator and apply
-        // it inside every worker's chunk loop.
-        let batch = ov_query::batch_rows();
         let workers = self.parallel.workers_for(extent.len());
         let chunk_len = extent.len().div_ceil(workers);
         let engine = if compiled.is_some() {
-            plan::Engine::compiled_now()
+            plan::Engine::Compiled
         } else {
             plan::Engine::Interpreted
         };
@@ -2019,7 +2017,7 @@ impl View {
         // work counters here. Budget charges are *not* folded — workers
         // bracket a shared budget concurrently, so their deltas overlap; the
         // coordinator's own frame below measures the true total.
-        let shared: [AtomicU64; 5] = std::array::from_fn(|_| AtomicU64::new(0));
+        let shared: [AtomicU64; 4] = std::array::from_fn(|_| AtomicU64::new(0));
         let (result, actuals) = plan::with_scan_actuals(|| {
             let results: Vec<ov_query::Result<BTreeSet<Oid>>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = extent
@@ -2047,24 +2045,12 @@ impl View {
                                 let r = (|| -> ov_query::Result<BTreeSet<Oid>> {
                                     let mut keep = BTreeSet::new();
                                     if let Some(scan) = exec.as_mut() {
-                                        let sub_len = if batch == 0 {
-                                            chunk.len().max(1)
-                                        } else {
-                                            batch
-                                        };
-                                        for sub in chunk.chunks(sub_len) {
-                                            if batch > 0 {
-                                                let rows: Vec<Value> =
-                                                    sub.iter().map(|&o| Value::Oid(o)).collect();
-                                                scan.begin_batch(0, &rows);
-                                            }
-                                            for (i, &oid) in sub.iter().enumerate() {
-                                                scan.bind(0, Value::Oid(oid));
-                                                actuals.rows_scanned += 1;
-                                                if ov_query::truthy(&scan.run_row(0, i)?) {
-                                                    actuals.rows_matched += 1;
-                                                    keep.insert(oid);
-                                                }
+                                        for &oid in chunk {
+                                            scan.bind(0, Value::Oid(oid));
+                                            actuals.rows_scanned += 1;
+                                            if ov_query::truthy(&scan.run(0)?) {
+                                                actuals.rows_matched += 1;
+                                                keep.insert(oid);
                                             }
                                         }
                                         return Ok(keep);
@@ -2099,7 +2085,6 @@ impl View {
                             for (slot, v) in shared.iter().zip([
                                 a.rows_scanned,
                                 a.rows_matched,
-                                a.batches,
                                 a.cache_hits,
                                 a.cache_misses,
                             ]) {
@@ -2127,9 +2112,8 @@ impl View {
             plan::add_actuals(&plan::ScanActuals {
                 rows_scanned: shared[0].load(Ordering::Relaxed),
                 rows_matched: shared[1].load(Ordering::Relaxed),
-                batches: shared[2].load(Ordering::Relaxed),
-                cache_hits: shared[3].load(Ordering::Relaxed),
-                cache_misses: shared[4].load(Ordering::Relaxed),
+                cache_hits: shared[2].load(Ordering::Relaxed),
+                cache_misses: shared[3].load(Ordering::Relaxed),
                 ..Default::default()
             });
             let mut out = BTreeSet::new();
@@ -2180,7 +2164,7 @@ impl View {
                     if let Some((candidates, index)) = self.index_candidates(q) {
                         self.bump_stat(Stat::IndexPushdown);
                         let engine = if compiled.is_some() {
-                            plan::Engine::compiled_now()
+                            plan::Engine::Compiled
                         } else {
                             plan::Engine::Interpreted
                         };
@@ -2190,25 +2174,12 @@ impl View {
                             let mut exec = compiled.map(|prog| ov_query::Scan::new(prog, self));
                             let r = (|| -> ov_query::Result<()> {
                                 if let Some(scan) = exec.as_mut() {
-                                    let batch = ov_query::batch_rows();
-                                    let sub_len = if batch == 0 {
-                                        candidates.len().max(1)
-                                    } else {
-                                        batch
-                                    };
-                                    for sub in candidates.chunks(sub_len) {
-                                        if batch > 0 {
-                                            let rows: Vec<Value> =
-                                                sub.iter().map(|&o| Value::Oid(o)).collect();
-                                            scan.begin_batch(0, &rows);
-                                        }
-                                        for (i, &oid) in sub.iter().enumerate() {
-                                            scan.bind(0, Value::Oid(oid));
-                                            actuals.rows_scanned += 1;
-                                            if ov_query::truthy(&scan.run_row(0, i)?) {
-                                                actuals.rows_matched += 1;
-                                                out.insert(oid);
-                                            }
+                                    for &oid in &candidates {
+                                        scan.bind(0, Value::Oid(oid));
+                                        actuals.rows_scanned += 1;
+                                        if ov_query::truthy(&scan.run(0)?) {
+                                            actuals.rows_matched += 1;
+                                            out.insert(oid);
                                         }
                                     }
                                     return Ok(());
@@ -2318,36 +2289,21 @@ impl View {
                                         let mut scan = ov_query::Scan::new(prog, self);
                                         let r = (|| -> ov_query::Result<BTreeSet<Oid>> {
                                             let budget = ov_query::budget::current();
-                                            let batch = ov_query::batch_rows();
                                             // One node entry for the collection name,
                                             // then per row the filter and (on keep) the
                                             // projection node — the tree walker's exact
-                                            // accounting, preserved within each batch.
+                                            // accounting.
                                             scan.step(1)?;
                                             let mut kept = BTreeSet::new();
-                                            let sub_len = if batch == 0 {
-                                                extent.len().max(1)
-                                            } else {
-                                                batch
-                                            };
-                                            for sub in extent.chunks(sub_len) {
-                                                if batch > 0 {
-                                                    let rows: Vec<Value> = sub
-                                                        .iter()
-                                                        .map(|&o| Value::Oid(o))
-                                                        .collect();
-                                                    scan.begin_batch(0, &rows);
-                                                }
-                                                for (i, &oid) in sub.iter().enumerate() {
-                                                    scan.bind(0, Value::Oid(oid));
-                                                    actuals.rows_scanned += 1;
-                                                    if ov_query::truthy(&scan.run_row(1, i)?) {
-                                                        actuals.rows_matched += 1;
-                                                        scan.step(1)?;
-                                                        if kept.insert(oid) {
-                                                            if let Some(b) = &budget {
-                                                                b.note_rows(1)?;
-                                                            }
+                                            for &oid in &extent {
+                                                scan.bind(0, Value::Oid(oid));
+                                                actuals.rows_scanned += 1;
+                                                if ov_query::truthy(&scan.run(1)?) {
+                                                    actuals.rows_matched += 1;
+                                                    scan.step(1)?;
+                                                    if kept.insert(oid) {
+                                                        if let Some(b) = &budget {
+                                                            b.note_rows(1)?;
                                                         }
                                                     }
                                                 }
@@ -2361,7 +2317,7 @@ impl View {
                                 );
                                 plan::record_scan_est(
                                     plan::ScanKind::Sequential {
-                                        engine: plan::Engine::compiled_now(),
+                                        engine: plan::Engine::Compiled,
                                     },
                                     actuals,
                                     est,
@@ -3072,7 +3028,7 @@ impl DataSource for View {
                     d.extend(schema.strict_descendants(class));
                     d
                 };
-                let mut out = BTreeSet::new();
+                let mut out = Vec::new();
                 let kinds = self.kinds.read();
                 for d in descendants {
                     if let Some(ClassKind::Imported { source, orig }) = kinds.get(&d) {
@@ -3080,7 +3036,11 @@ impl DataSource for View {
                         out.extend(db.store.extent(*orig));
                     }
                 }
-                Ok(out.into_iter().collect())
+                // Oid order, each oid once: sorting the concatenated
+                // extents is cheaper than building an ordered set.
+                out.sort_unstable();
+                out.dedup();
+                Ok(out)
             }
         }
     }
@@ -3155,10 +3115,13 @@ impl DataSource for View {
     }
 
     fn resolution_class_and_field(&self, oid: Oid, name: Symbol) -> Option<(ClassId, Value)> {
-        // Fused `resolution_class` + `stored_field`: one imaginary-table
-        // probe and one source-store probe instead of two of each, which
-        // matters at a lock acquisition and a hash lookup per scanned row.
-        if let Some(im) = self.imaginary.read().get(&oid) {
+        // Fused `resolution_class` + `stored_field`: one lookup instead of
+        // two, which matters at a lock acquisition and a hash lookup per
+        // scanned row. Imaginary and stored oids come from disjoint
+        // ranges, so only the table the oid's range names is locked.
+        if oid.is_imaginary() {
+            let imaginary = self.imaginary.read();
+            let im = imaginary.get(&oid)?;
             return Some((im.class, im.core.get(name).cloned().unwrap_or(Value::Null)));
         }
         for (idx, handle) in self.sources.iter().enumerate() {
@@ -3173,43 +3136,6 @@ impl DataSource for View {
 
     fn resolution_generation(&self) -> u64 {
         self.res_gen.load(Ordering::Acquire)
-    }
-
-    fn prefetch_attr_columns(
-        &self,
-        oids: &[Option<Oid>],
-        names: &[Symbol],
-    ) -> Option<ov_query::PrefetchedColumns> {
-        // Batched `resolution_class_and_field`: the imaginary table and
-        // every source store are locked *once* for the whole batch instead
-        // of once per row per attribute. Pure snapshot reads — no budget
-        // charges, no fault sites, no membership checks — matching the
-        // trait contract.
-        let imaginary = self.imaginary.read();
-        let stores: Vec<_> = self.sources.iter().map(|h| h.read()).collect();
-        let mut cols = vec![vec![None; oids.len()]; names.len()];
-        for (row, oid) in oids.iter().enumerate() {
-            let Some(oid) = *oid else { continue };
-            if let Some(im) = imaginary.get(&oid) {
-                for (c, name) in names.iter().enumerate() {
-                    cols[c][row] =
-                        Some((im.class, im.core.get(*name).cloned().unwrap_or(Value::Null)));
-                }
-                continue;
-            }
-            for (idx, db) in stores.iter().enumerate() {
-                if let Some(obj) = db.store.get(oid) {
-                    if let Some(&class) = self.import_maps[idx].get(&obj.class) {
-                        for (c, name) in names.iter().enumerate() {
-                            cols[c][row] =
-                                Some((class, obj.value.get(*name).cloned().unwrap_or(Value::Null)));
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        Some(cols)
     }
 
     fn resolution_is_class_pure(&self, class: ClassId, name: Symbol) -> bool {

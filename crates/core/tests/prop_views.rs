@@ -243,14 +243,12 @@ fn param_view(sys: &System) -> ov_views::View {
     .unwrap()
 }
 
-/// Runs `q` on a fresh parameterized view under `mode` and batch width
-/// `batch` (ignored by the interpreter), with an unlimited budget: the
-/// result, the steps charged, and the scan actuals.
+/// Runs `q` on a fresh parameterized view under `mode`, with an
+/// unlimited budget: the result, the steps charged, and the scan actuals.
 fn run_param(
     sys: &System,
     q: &str,
     mode: ov_query::EngineMode,
-    batch: usize,
 ) -> (
     Result<Value, ov_query::QueryError>,
     u64,
@@ -260,9 +258,7 @@ fn run_param(
     let budget = std::sync::Arc::new(ov_query::Budget::new());
     let (r, actuals) = ov_query::budget::with(budget.clone(), || {
         ov_query::with_engine_mode(mode, || {
-            ov_query::with_batch_rows(batch, || {
-                ov_query::plan::with_scan_actuals(|| ov_query::run_query(&view, q))
-            })
+            ov_query::plan::with_scan_actuals(|| ov_query::run_query(&view, q))
         })
     });
     (r, budget.steps_used(), actuals)
@@ -293,18 +289,16 @@ proptest! {
             format!("select X.Name from X in Adult where X.Age / (X.Age - {t}) >= 0"),
         ];
         let q = &queries[pick];
-        let (want, want_steps, _) = run_param(&sys, q, EngineMode::Interp, 0);
-        for batch in [0usize, 1, 3, 1024] {
-            let (got, steps, actuals) = run_param(&sys, q, EngineMode::Compiled, batch);
-            prop_assert_eq!(&got, &want, "`{}` (batch={})", q, batch);
-            prop_assert_eq!(steps, want_steps, "steps of `{}` (batch={})", q, batch);
-            if pick == 0 {
-                // Every row after the first reuses the class's verdict.
-                prop_assert!(
-                    actuals.cache_hits >= actuals.rows_scanned - 1,
-                    "`{}` (batch={}): {:?}", q, batch, actuals
-                );
-            }
+        let (want, want_steps, _) = run_param(&sys, q, EngineMode::Interp);
+        let (got, steps, actuals) = run_param(&sys, q, EngineMode::Compiled);
+        prop_assert_eq!(&got, &want, "`{}`", q);
+        prop_assert_eq!(steps, want_steps, "steps of `{}`", q);
+        if pick == 0 {
+            // Every row after the first reuses the class's verdict.
+            prop_assert!(
+                actuals.cache_hits >= actuals.rows_scanned - 1,
+                "`{}`: {:?}", q, actuals
+            );
         }
     }
 }

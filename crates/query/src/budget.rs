@@ -19,11 +19,9 @@
 //! scan workers — which re-install the coordinator's budget via [`current`]
 //! — drain one global allowance rather than one per thread.
 //!
-//! Batched execution does not change the accounting unit: the compiled
-//! engine prefetches attribute columns for a chunk of rows at once, but
-//! still charges steps and rows **per row, in row order**, so a cap is
-//! breached at exactly the same row — with the same error — at every batch
-//! width, including width 0 (row-at-a-time).
+//! The compiled engine charges steps and rows **per row, in row order**,
+//! exactly where the interpreter does, so a cap is breached at exactly
+//! the same row — with the same error — in either engine.
 
 use std::cell::RefCell;
 use std::fmt;

@@ -22,35 +22,28 @@
 //!   parameters after it, bracketed by `EnterBody`/`ExitBody`
 //!   instructions) and invoked as a bytecode frame instead of
 //!   round-tripping through `Evaluator::run_computed` per row;
-//! * scans execute over **columnar batches**: [`Scan::begin_batch`]
-//!   prefetches the (class, raw field) probes for every attribute access
-//!   that reads the batched register — one lock acquisition and one object
-//!   lookup per row for the whole batch, instead of one per access.
+//! * scans run **row-at-a-time on the fused probe**: each object access
+//!   is one [`DataSource::resolution_class_and_field`] lookup yielding
+//!   both the slot-cache key and the raw stored field.
 //!
 //! The contract is **bit-identical observable behavior** with the
 //! interpreter: same values, same error variants and messages, same
 //! [`crate::Budget`] step/row accounting (a `Step` instruction is
 //! emitted exactly where `eval_depth` would charge a step, at the same
-//! depth — batching amortizes lookups, *never* budget charges, so a
-//! breach stops at the exact row the interpreter would), same depth-limit
-//! behavior, and uncovered computed bodies still delegate to the
-//! interpreter (`Evaluator::run_computed`). Expressions outside the
+//! depth, so a breach stops at the exact row the interpreter would), same
+//! depth-limit behavior, and uncovered computed bodies still delegate to
+//! the interpreter (`Evaluator::run_computed`). Expressions outside the
 //! covered subset (`Lit`, scan variables, `self` in bodies, `Attr`,
 //! tuple/set/list constructors, `Unary`, `Binary`, `If`, nested `select`
 //! and `exists`, aggregates, parameterized-class application) simply fail
 //! to compile and the caller falls back to the interpreter, recording the
 //! scan as interpreted in EXPLAIN output ([`crate::plan::Engine`]).
 //!
-//! **Consistency model.** A batch's prefetched probes are a snapshot
-//! taken at [`Scan::begin_batch`]. Scans hold `&Database` (immutable) or
-//! run against a `View` whose raw class/field probes for existing objects
-//! do not change mid-scan, so the snapshot cannot be observed stale; a
-//! probe is only used when the receiver equals the batched row's object,
-//! and anything else falls through to the per-row path. Slot caches are
-//! additionally guarded by [`DataSource::resolution_generation`]: a
-//! source that invalidates scan-visible resolution state (a view opening
-//! or closing a population bracket, template instantiation) bumps its
-//! generation and the scan drops its cached verdicts.
+//! **Consistency model.** Slot caches are guarded by
+//! [`DataSource::resolution_generation`]: a source that invalidates
+//! scan-visible resolution state (a view opening or closing a population
+//! bracket, template instantiation) bumps its generation and the scan
+//! drops its cached verdicts.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
@@ -175,41 +168,6 @@ fn note_fallback() {
     ov_oodb::metric_counter!("compile.fallbacks").inc();
 }
 
-// --- batch sizing ---------------------------------------------------------
-
-/// Default number of rows per columnar batch. Large enough to amortize
-/// lock acquisition and (after the first batch warms the slot caches)
-/// body-program discovery; small enough that prefetched probe columns
-/// stay cache-resident.
-pub const DEFAULT_BATCH_ROWS: usize = 1024;
-
-thread_local! {
-    static BATCH_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The batch size governing this thread's compiled scans: the innermost
-/// [`with_batch_rows`] override, else [`DEFAULT_BATCH_ROWS`]. `0` means
-/// row-at-a-time execution (no prefetch) — the baseline the bench
-/// harness's E16 compares against.
-pub fn batch_rows() -> usize {
-    BATCH_ROWS.with(|c| c.get()).unwrap_or(DEFAULT_BATCH_ROWS)
-}
-
-/// Runs `f` with compiled scans batching `rows` rows at a time (`0`
-/// disables batching), restoring the previous setting on the way out.
-/// Batching is a pure execution strategy: results, errors, and budget
-/// accounting are identical at every setting.
-pub fn with_batch_rows<R>(rows: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            BATCH_ROWS.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(BATCH_ROWS.with(|c| c.replace(Some(rows))));
-    f()
-}
-
 // --- programs -------------------------------------------------------------
 
 /// One instruction. The stream is laid out in evaluation order: every
@@ -289,8 +247,8 @@ pub struct Program {
     slots: Vec<Symbol>,
     /// For each slot, the register its receiver reads directly (the
     /// receiver expression is that register and nothing else) — the
-    /// accesses a columnar batch can prefetch. `None` for computed
-    /// receivers (path tails like `P.Spouse.Name`).
+    /// accesses statistics sampling reads. `None` for computed receivers
+    /// (path tails like `P.Spouse.Name`).
     slot_recv: Vec<Option<usize>>,
     /// Field-name shapes for `MakeTuple`, in shape order.
     shapes: Vec<Vec<Symbol>>,
@@ -646,33 +604,10 @@ enum SlotEntry {
     Impure,
 }
 
-/// Columnar prefetch state for one batch of rows.
-struct BatchState {
-    /// The row currently executing (set by [`Scan::run_row`]).
-    row: usize,
-    /// The batched rows' object ids (`None` for non-object rows). A
-    /// prefetched probe is used only when the receiver equals this row's
-    /// oid, so mixing batched and ad-hoc receivers is always safe.
-    oids: Vec<Option<Oid>>,
-    /// Prefetched column index per global slot (`None`: slot not
-    /// prefetchable). Indexed by the slots allocated when the batch began;
-    /// slots added later (newly discovered body programs) simply miss
-    /// until the next batch.
-    cols: Vec<Option<usize>>,
-    /// Fused (class, raw field) probes, column-major: `data[col][row]`.
-    /// `None` entries fall through to the per-row probe path.
-    data: Vec<Vec<Option<(ClassId, Value)>>>,
-    /// Attribute name per column (parallel to `data`), kept so the
-    /// statistics plane can attribute prefetched values.
-    names: Vec<Symbol>,
-}
-
 /// A per-scan executor for one [`Program`]: the reusable value stack, the
-/// register file, the captured [`Budget`], the per-slot resolution caches,
-/// and — when batching — the columnar prefetch state. Create one per scan
-/// (or per parallel chunk — caches are not shared across threads), then
-/// `bind` + `run` per row, or `begin_batch` + `bind` + `run_row` over
-/// columnar chunks.
+/// register file, the captured [`Budget`], and the per-slot resolution
+/// caches. Create one per scan (or per parallel chunk — caches are not
+/// shared across threads), then `bind` + `run` per row.
 pub struct Scan<'a> {
     prog: &'a Program,
     src: &'a dyn DataSource,
@@ -701,10 +636,6 @@ pub struct Scan<'a> {
     /// The source's resolution generation when the caches were last
     /// (re)filled; a bump drops every cached verdict.
     gen: u64,
-    batch: Option<BatchState>,
-    /// Columnar batches begun (prefetch actually armed). Plain local
-    /// integer; drained by the driver via [`Scan::take_actuals`].
-    n_batches: u64,
     /// Resolution-slot cache hits (see [`Scan::take_actuals`]).
     cache_hits: u64,
     /// Resolution-slot cache misses (see [`Scan::take_actuals`]).
@@ -726,47 +657,41 @@ impl<'a> Scan<'a> {
             body_bases: HashMap::new(),
             open_bodies: 0,
             gen: src.resolution_generation(),
-            batch: None,
-            n_batches: 0,
             cache_hits: 0,
             cache_misses: 0,
         }
     }
 
-    /// Drains the executor's measured diagnostics — batches begun,
-    /// resolution-cache hits/misses — as a [`ScanActuals`](crate::plan::ScanActuals)
+    /// Drains the executor's measured diagnostics — resolution-cache
+    /// hits/misses — as a [`ScanActuals`](crate::plan::ScanActuals)
     /// fragment (the row counters stay zero: drivers count rows
     /// themselves). Resets the internal counters.
     pub fn take_actuals(&mut self) -> crate::plan::ScanActuals {
         let a = crate::plan::ScanActuals {
-            batches: self.n_batches,
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             ..Default::default()
         };
-        self.n_batches = 0;
         self.cache_hits = 0;
         self.cache_misses = 0;
         a
     }
 
-    /// Feeds the live batch's prefetched columns into the process-wide
-    /// statistics plane under `class`. Call sites sample (a few batches
-    /// per scan) and gate on
-    /// [`profiling_enabled`](ov_oodb::metrics::profiling_enabled); a no-op
-    /// when no batch is armed.
-    pub fn feed_batch_stats(&self, class: Symbol) {
-        let Some(b) = &self.batch else {
-            return;
-        };
-        let stats = ov_oodb::stats::stats().class(class);
-        for (col, name) in b.names.iter().enumerate() {
-            stats.observe_column(
-                self.gen,
-                *name,
-                b.data[col].iter().map(|e| e.as_ref().map(|(_, v)| v)),
-            );
+    /// The distinct attribute names read directly off register `reg` in
+    /// the outer program, and off `self` in every body program registered
+    /// so far: the columns statistics sampling reads for a scan variable.
+    fn direct_attrs(&self, reg: usize) -> Vec<Symbol> {
+        let mut names: Vec<Symbol> = Vec::new();
+        let progs = std::iter::once((self.prog, reg))
+            .chain(self.body_bases.values().map(|(p, _)| (&**p, 0)));
+        for (prog, recv) in progs {
+            for (name, r) in prog.slots.iter().zip(&prog.slot_recv) {
+                if *r == Some(recv) && !names.contains(name) {
+                    names.push(*name);
+                }
+            }
         }
+        names
     }
 
     /// Writes the scan variable in register `reg` for the next `run`.
@@ -798,92 +723,6 @@ impl<'a> Scan<'a> {
             b.step(depth)?;
         }
         Ok(())
-    }
-
-    /// Starts a columnar batch over `rows`, which the caller will bind to
-    /// register `reg` one at a time: prefetches the fused (class, raw
-    /// field) probes for every attribute access that reads `reg` directly
-    /// — in the outer program and in every body program discovered so far
-    /// (whose receiver register is `self`) — in one pass over the source.
-    /// Budget charges are untouched: prefetching amortizes *lookups*, and
-    /// each row still pays its exact interpreter charges in `run_row`.
-    /// A no-op (per-row fallback) when nothing is prefetchable or the
-    /// source does not support prefetch.
-    pub fn begin_batch(&mut self, reg: usize, rows: &[Value]) {
-        self.batch = None;
-        if rows.is_empty() {
-            return;
-        }
-        // Plan the columns: one per distinct attribute name read directly
-        // off the batched register (outer program) or off `self` (body
-        // programs run the batched object as their receiver; the
-        // oid-equality guard in `attr` rejects the prefetched probe when a
-        // body runs against some other object).
-        let mut names: Vec<Symbol> = Vec::new();
-        let mut slot_cols: Vec<(usize, usize)> = Vec::new();
-        let mut plan = |prog: &Program, base: usize, recv: usize| {
-            for (i, r) in prog.slot_recv.iter().enumerate() {
-                if *r == Some(recv) {
-                    let name = prog.slots[i];
-                    let col = names.iter().position(|n| *n == name).unwrap_or_else(|| {
-                        names.push(name);
-                        names.len() - 1
-                    });
-                    slot_cols.push((base + i, col));
-                }
-            }
-        };
-        plan(self.prog, 0, reg);
-        for (prog, base) in self.body_bases.values() {
-            plan(prog, *base, 0);
-        }
-        if slot_cols.is_empty() {
-            return;
-        }
-        // From here the batch does real work (one pass over the source);
-        // the span shows Chrome-trace readers where batched scans spend
-        // their prefetch time.
-        let _span = ov_oodb::span!("scan.batch_prefetch", rows = rows.len());
-        let oids: Vec<Option<Oid>> = rows
-            .iter()
-            .map(|v| match v {
-                Value::Oid(o) => Some(*o),
-                _ => None,
-            })
-            .collect();
-        if oids.iter().all(|o| o.is_none()) {
-            return;
-        }
-        let Some(data) = self.src.prefetch_attr_columns(&oids, &names) else {
-            return;
-        };
-        let mut cols = vec![None; self.caches.len()];
-        for (gslot, col) in slot_cols {
-            cols[gslot] = Some(col);
-        }
-        self.n_batches += 1;
-        self.batch = Some(BatchState {
-            row: 0,
-            oids,
-            cols,
-            data,
-            names,
-        });
-    }
-
-    /// Ends the current batch (subsequent rows take the per-row path).
-    pub fn end_batch(&mut self) {
-        self.batch = None;
-    }
-
-    /// Executes the program for row `idx` of the current batch (the caller
-    /// has already `bind`-ed the row's value). Identical to [`Scan::run`]
-    /// except prefetched probes for this row become visible.
-    pub fn run_row(&mut self, base: usize, idx: usize) -> Result<Value> {
-        if let Some(b) = &mut self.batch {
-            b.row = idx;
-        }
-        self.run(base)
     }
 
     /// Executes the program with the expression root at depth `base`
@@ -1002,18 +841,6 @@ impl<'a> Scan<'a> {
             pc += 1;
         }
         Ok(self.stack.pop().expect("program nets exactly one value"))
-    }
-
-    /// The prefetched fused probe for `gslot`, valid only when the
-    /// receiver is exactly the batched row's object.
-    fn batch_probe(&self, gslot: usize, oid: Oid) -> Option<(ClassId, Value)> {
-        let b = self.batch.as_ref()?;
-        let col = (*b.cols.get(gslot)?)?;
-        if b.oids.get(b.row).copied().flatten() == Some(oid) {
-            b.data[col][b.row].clone()
-        } else {
-            None
-        }
     }
 
     /// Runs a compiled sub-select with its `select`/`exists` node at
@@ -1166,8 +993,7 @@ impl<'a> Scan<'a> {
     }
 
     /// Attribute access, mirroring `Evaluator::access`/`attr_of` byte for
-    /// byte — with the resolve call routed through the slot cache and the
-    /// object probe served from the batch prefetch when available.
+    /// byte — with the resolve call routed through the slot cache.
     fn attr(
         &mut self,
         recv: Value,
@@ -1189,12 +1015,8 @@ impl<'a> Scan<'a> {
                 // One fused object lookup yields the cache key *and* the raw
                 // stored field; the field half is used only when resolution
                 // says the attribute is stored (it never depends on
-                // membership, so the early read is safe). The batch prefetch
-                // serves the same probe without touching the source.
-                let probe = self
-                    .batch_probe(gslot, oid)
-                    .or_else(|| self.src.resolution_class_and_field(oid, name));
-                let (resolved, body, raw) = match probe {
+                // membership, so the early read is safe).
+                let (resolved, body, raw) = match self.src.resolution_class_and_field(oid, name) {
                     Some((class, raw)) => {
                         let (res, body) = self.resolve_cached(oid, class, gslot, name)?;
                         (res, body, Some(raw))
@@ -1430,13 +1252,13 @@ pub(crate) fn try_run_compiled(src: &dyn DataSource, expr: &Expr) -> Option<Resu
             }
         }
     };
-    // Canonical single-binding class scan: the batched fast path, with
+    // Canonical single-binding class scan: the fast path, with
     // the planner choosing between sequential scan and index pushdown.
     if let Some(scan) = compile_select_scan(src, q) {
         if crate::planner::planner_enabled() {
             return Some(run_planned_select(src, expr, q, &scan));
         }
-        return Some(run_select_scan(src, q, &scan));
+        return Some(run_select_scan(src, q, &scan, None));
     }
     // Multi-binding over independent class extents: the planner may pick
     // a cheapest-first binding order. Only when no budget is installed —
@@ -1462,7 +1284,7 @@ pub(crate) fn try_run_compiled(src: &dyn DataSource, expr: &Expr) -> Option<Resu
 /// Runs a fully compiled general expression (multi-binding or nested
 /// selects, a bare `exists`): the program roots at depth 0, sub-selects
 /// do their own row accounting and actuals reporting, and the scan's
-/// cache/batch counters fold into the actuals frame.
+/// cache counters fold into the actuals frame.
 fn run_compiled_expr(src: &dyn DataSource, prog: &Program) -> Result<Value> {
     let _span = ov_oodb::span!("query.compiled_scan");
     let mut scan = Scan::new(prog, src);
@@ -1485,17 +1307,17 @@ fn run_planned_select(
     let r = match &decision.strategy {
         crate::planner::Strategy::IndexPushdown { attr, value } => {
             match src.indexed_lookup(scan.class, *attr, value) {
-                Some(candidates) => run_pushdown_scan(src, q, scan, candidates),
+                Some(candidates) => run_select_scan(src, q, scan, Some(candidates)),
                 None => {
                     // The plan assumed an index that isn't there (cold
                     // statistics, dropped index): demote the cached plan
                     // so later executions skip the doomed probe.
                     crate::planner::demote_to_seq(expr);
-                    run_select_scan(src, q, scan)
+                    run_select_scan(src, q, scan, None)
                 }
             }
         }
-        _ => run_select_scan(src, q, scan),
+        _ => run_select_scan(src, q, scan, None),
     };
     let rows = match &r {
         Ok(Value::Set(s)) => Some(s.len() as u64),
@@ -1504,79 +1326,6 @@ fn run_planned_select(
     };
     crate::planner::record_outcome(expr, decision, rows);
     r
-}
-
-/// Runs a compiled single-binding scan over index `candidates` instead
-/// of the full extent. Candidates are re-tested against the full
-/// compiled filter (the index only served one equality conjunct), in
-/// oid order, batched like the sequential scan. Only reachable through
-/// the planner, which owns the cost decision; results are identical to
-/// the sequential scan because the index is exact on its conjunct and
-/// the filter re-runs in full.
-fn run_pushdown_scan(
-    src: &dyn DataSource,
-    q: &SelectExpr,
-    scan: &SelectScan,
-    candidates: Vec<Oid>,
-) -> Result<Value> {
-    let _span = ov_oodb::span!("query.compiled_scan");
-    let budget = budget::current();
-    let mut filter = scan.filter.as_ref().map(|p| Scan::new(p, src));
-    let mut proj = Scan::new(&scan.proj, src);
-    let mut actuals = crate::plan::ScanActuals::default();
-    let result = (|| -> Result<BTreeSet<Value>> {
-        proj.step(0)?; // the `select` node itself
-        proj.step(1)?; // the collection name
-        let batch = batch_rows();
-        let chunk_len = if batch == 0 {
-            candidates.len().max(1)
-        } else {
-            batch
-        };
-        let mut out = BTreeSet::new();
-        for chunk in candidates.chunks(chunk_len) {
-            let rows: Vec<Value> = chunk.iter().map(|&o| Value::Oid(o)).collect();
-            if batch > 0 {
-                if let Some(f) = &mut filter {
-                    f.begin_batch(0, &rows);
-                }
-                proj.begin_batch(0, &rows);
-            }
-            for (i, row) in rows.iter().enumerate() {
-                actuals.rows_scanned += 1;
-                if let Some(f) = &mut filter {
-                    f.bind(0, row.clone());
-                    if !truthy(&f.run_row(1, i)?) {
-                        continue;
-                    }
-                }
-                actuals.rows_matched += 1;
-                proj.bind(0, row.clone());
-                let v = proj.run_row(1, i)?;
-                if out.insert(v) {
-                    if let Some(b) = &budget {
-                        b.note_rows(1)?;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    })();
-    if let Some(f) = &mut filter {
-        actuals.absorb(&f.take_actuals());
-    }
-    actuals.absorb(&proj.take_actuals());
-    crate::plan::add_actuals(&actuals);
-    let out = result?;
-    if q.the {
-        if out.len() == 1 {
-            Ok(out.into_iter().next().expect("len checked"))
-        } else {
-            Err(QueryError::TheCardinality { got: out.len() })
-        }
-    } else {
-        Ok(Value::Set(out))
-    }
 }
 
 /// Attempts the planner's reordered nested-loop join for a multi-binding
@@ -1754,90 +1503,94 @@ fn join_nest(
     Ok(())
 }
 
+/// Rows of a profiled sequential scan whose attribute values feed the
+/// statistics plane: enough for a useful sample, cheap enough never to
+/// dominate a scan.
+pub const STATS_SAMPLE_ROWS: usize = 4096;
+
 /// Runs a compiled canonical scan, charging the budget exactly as the
 /// interpreter's `eval_expr` → `select_depth` → `iterate_bindings` chain
 /// would: one step for the `select` node (depth 0), one for the collection
 /// name (depth 1), the filter and projection at depth 1 per row, and one
-/// `note_rows` per newly inserted result. The extent is walked in
-/// columnar batches ([`batch_rows`]-sized); rows inside a batch still
-/// execute — and charge — strictly in order, so a budget breach or error
-/// stops at the exact row the interpreter would.
-/// Batches per scan whose prefetched columns feed the statistics plane
-/// when profiling is on — enough for a useful sample, cheap enough to
-/// never dominate a scan.
-const STATS_SAMPLE_BATCHES: u32 = 4;
-
-fn run_select_scan(src: &dyn DataSource, q: &SelectExpr, scan: &SelectScan) -> Result<Value> {
+/// `note_rows` per newly inserted result. Rows execute — and charge —
+/// strictly in order, so a budget breach or error stops at the exact row
+/// the interpreter would.
+///
+/// `candidates` are index-pushdown candidates, re-tested in oid order
+/// against the full filter (the index served one equality conjunct
+/// exactly, so the result equals the sequential scan's); only the planner,
+/// which owns the cost decision, passes them. `None` walks the class
+/// extent and, when profiling, feeds the statistics plane: the extent's
+/// cardinality, and the attributes the scan reads off its variable over
+/// the first [`STATS_SAMPLE_ROWS`] scanned rows.
+fn run_select_scan(
+    src: &dyn DataSource,
+    q: &SelectExpr,
+    scan: &SelectScan,
+    candidates: Option<Vec<Oid>>,
+) -> Result<Value> {
     let _span = ov_oodb::span!("query.compiled_scan");
     let budget = budget::current();
     let mut filter = scan.filter.as_ref().map(|p| Scan::new(p, src));
     let mut proj = Scan::new(&scan.proj, src);
     // The scanned collection's class name (compile_select_scan required
     // the plain-name shape), for statistics attribution.
-    let coll_name = match q.bindings.first() {
-        Some((_, Expr::Name(n))) => Some(*n),
+    let stats_class = match q.bindings.first() {
+        Some((_, Expr::Name(n)))
+            if candidates.is_none() && ov_oodb::metrics::profiling_enabled() =>
+        {
+            Some(*n)
+        }
         _ => None,
     };
-    let profiling = ov_oodb::metrics::profiling_enabled();
-    let mut stats_batches_left = if profiling { STATS_SAMPLE_BATCHES } else { 0 };
     let mut actuals = crate::plan::ScanActuals::default();
+    let mut rows: Vec<Oid> = Vec::new();
+    let mut generation = 0;
     // The loop runs in a closure so measured actuals are reported even
     // when a row errors or breaches the budget mid-scan.
     let result = (|| -> Result<BTreeSet<Value>> {
         proj.step(0)?; // the `select` node itself
         proj.step(1)?; // the collection name
-        let extent = src.extent(scan.class)?;
-        if profiling {
-            if let Some(class) = coll_name {
-                ov_oodb::stats::stats()
-                    .class(class)
-                    .note_cardinality(src.resolution_generation(), extent.len() as u64);
-            }
-        }
-        let batch = batch_rows();
-        let chunk_len = if batch == 0 {
-            extent.len().max(1)
-        } else {
-            batch
+        rows = match candidates {
+            Some(c) => c,
+            None => src.extent(scan.class)?,
         };
+        generation = src.resolution_generation();
+        if let Some(class) = stats_class {
+            ov_oodb::stats::stats()
+                .class(class)
+                .note_cardinality(generation, rows.len() as u64);
+        }
         let mut out = BTreeSet::new();
-        for chunk in extent.chunks(chunk_len) {
-            let rows: Vec<Value> = chunk.iter().map(|&o| Value::Oid(o)).collect();
-            if batch > 0 {
-                if let Some(f) = &mut filter {
-                    f.begin_batch(0, &rows);
-                }
-                proj.begin_batch(0, &rows);
-                if stats_batches_left > 0 {
-                    if let Some(class) = coll_name {
-                        if let Some(f) = &filter {
-                            f.feed_batch_stats(class);
-                        }
-                        proj.feed_batch_stats(class);
-                        stats_batches_left -= 1;
-                    }
+        for &oid in &rows {
+            actuals.rows_scanned += 1;
+            if let Some(f) = &mut filter {
+                f.bind(0, Value::Oid(oid));
+                if !truthy(&f.run(1)?) {
+                    continue;
                 }
             }
-            for (i, row) in rows.iter().enumerate() {
-                actuals.rows_scanned += 1;
-                if let Some(f) = &mut filter {
-                    f.bind(0, row.clone());
-                    if !truthy(&f.run_row(1, i)?) {
-                        continue;
-                    }
-                }
-                actuals.rows_matched += 1;
-                proj.bind(0, row.clone());
-                let v = proj.run_row(1, i)?;
-                if out.insert(v) {
-                    if let Some(b) = &budget {
-                        b.note_rows(1)?;
-                    }
+            actuals.rows_matched += 1;
+            proj.bind(0, Value::Oid(oid));
+            let v = proj.run(1)?;
+            if out.insert(v) {
+                if let Some(b) = &budget {
+                    b.note_rows(1)?;
                 }
             }
         }
         Ok(out)
     })();
+    let sampled = (actuals.rows_scanned as usize).min(STATS_SAMPLE_ROWS);
+    if let Some(class) = stats_class.filter(|_| sampled > 0) {
+        let mut names = proj.direct_attrs(0);
+        for n in filter.iter().flat_map(|f| f.direct_attrs(0)) {
+            if !names.contains(&n) {
+                names.push(n);
+            }
+        }
+        sample_stats(src, class, generation, &rows[..sampled], &names);
+    }
     if let Some(f) = &mut filter {
         actuals.absorb(&f.take_actuals());
     }
@@ -1852,6 +1605,27 @@ fn run_select_scan(src: &dyn DataSource, q: &SelectExpr, scan: &SelectScan) -> R
         }
     } else {
         Ok(Value::Set(out))
+    }
+}
+
+/// Folds the raw stored field `name` of each of `oids` — one fused
+/// [`DataSource::resolution_class_and_field`] probe per (row, name) — into
+/// the statistics sketches of `class`. Rows the source cannot probe are
+/// skipped, not counted as nulls.
+fn sample_stats(
+    src: &dyn DataSource,
+    class: Symbol,
+    generation: u64,
+    oids: &[Oid],
+    names: &[Symbol],
+) {
+    let stats = ov_oodb::stats::stats().class(class);
+    for &name in names {
+        let column: Vec<Option<Value>> = oids
+            .iter()
+            .map(|&o| src.resolution_class_and_field(o, name).map(|(_, v)| v))
+            .collect();
+        stats.observe_column(generation, name, column.iter().map(Option::as_ref));
     }
 }
 
@@ -2196,26 +1970,19 @@ mod tests {
     }
 
     #[test]
-    fn batched_rows_are_bit_identical_to_row_at_a_time() {
+    fn compiled_scan_matches_interpreter_values_and_steps() {
         let db = staff();
         let expr = parse_expr("select P.Doubled from P in Person where P.Age >= 30").unwrap();
         let reference = crate::eval::eval_expr(&db, &expr);
-        for rows in [0, 1, 2, 3, 1024] {
-            let (result, steps) = with_batch_rows(rows, || {
-                let b = Arc::new(Budget::new());
-                let r = budget::with(b.clone(), || {
-                    try_run_compiled(&db, &expr).expect("should compile")
-                });
-                (r, b.steps_used())
-            });
-            assert_eq!(result, reference, "batch_rows = {rows}");
-            let b = Arc::new(Budget::new());
-            let interp_steps = {
-                budget::with(b.clone(), || crate::eval::eval_expr(&db, &expr)).unwrap();
-                b.steps_used()
-            };
-            assert_eq!(steps, interp_steps, "steps at batch_rows = {rows}");
-        }
+        let b = Arc::new(Budget::new());
+        let result = budget::with(b.clone(), || {
+            try_run_compiled(&db, &expr).expect("should compile")
+        });
+        assert_eq!(result, reference);
+        let steps = b.steps_used();
+        let b = Arc::new(Budget::new());
+        budget::with(b.clone(), || crate::eval::eval_expr(&db, &expr)).unwrap();
+        assert_eq!(steps, b.steps_used());
     }
 
     #[test]

@@ -44,9 +44,8 @@ pub mod typecheck;
 pub use ast::{ImportWhat, IncludeSpec, Stmt, TypeExpr};
 pub use budget::{Budget, BudgetBreach};
 pub use compile::{
-    batch_rows, compile_fallbacks, compile_predicate, compile_select_scan, compiled_enabled,
-    engine_mode, set_engine_mode, with_batch_rows, with_engine_mode, EngineMode, Program, Scan,
-    SelectScan, DEFAULT_BATCH_ROWS,
+    compile_fallbacks, compile_predicate, compile_select_scan, compiled_enabled, engine_mode,
+    set_engine_mode, with_engine_mode, EngineMode, Program, Scan, SelectScan,
 };
 pub use error::{Pos, QueryError, Result};
 pub use eval::{eval_attr, eval_expr, eval_select, truthy, value_eq, Env, Evaluator};
@@ -66,7 +65,7 @@ pub use planner::{
     clear_plan_cache, estimate_select, planner_enabled, set_planner_enabled, with_planner,
     Decision as PlanDecision, Strategy as PlanStrategy,
 };
-pub use source::{require_class, DataSource, PrefetchedColumns, ResolvedAttr, SourceGraph};
+pub use source::{require_class, DataSource, ResolvedAttr, SourceGraph};
 pub use typecheck::{
     infer, infer_expr, infer_select, infer_select_in, referenced_classes,
     referenced_classes_select, type_of_value, TypeEnv,

@@ -32,35 +32,17 @@ use crate::source::DataSource;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
     /// The scan ran the compiled predicate engine ([`crate::compile`]).
-    /// Compiled scans execute over columnar batches (attribute columns
-    /// prefetched per batch, locks amortized across it); the observable
-    /// behavior — values, errors, budget accounting — is identical at
-    /// every batch size, but the marker carries the width so EXPLAIN
-    /// readers can see whether a scan actually ran batched.
-    Compiled {
-        /// The [`crate::compile::batch_rows`] setting the scan ran under
-        /// (`0` = row-at-a-time, no prefetch).
-        batch: usize,
-    },
+    Compiled,
     /// The scan ran the tree-walking interpreter (either by choice — see
     /// [`crate::EngineMode`] — or because the expression fell outside the
     /// compiler's covered subset).
     Interpreted,
 }
 
-impl Engine {
-    /// The compiled engine at this thread's current batch width.
-    pub fn compiled_now() -> Engine {
-        Engine::Compiled {
-            batch: crate::compile::batch_rows(),
-        }
-    }
-}
-
 impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Engine::Compiled { batch } => write!(f, "compiled b={batch}"),
+            Engine::Compiled => write!(f, "compiled"),
             Engine::Interpreted => write!(f, "interp"),
         }
     }
@@ -71,10 +53,9 @@ impl fmt::Display for Engine {
 /// `rows_scanned`, `rows_matched`, and the budget charges (`steps`,
 /// `rows_charged`) are **engine-invariant**: the compiled engine and the
 /// tree-walking interpreter report identical numbers for semantically
-/// identical work, at every batch width — the differential proptest suite
-/// gates this. `batches`, `cache_hits`, and `cache_misses` are
-/// compiled-engine diagnostics (the interpreter has no columnar batches or
-/// resolution-slot caches and reports 0).
+/// identical work — the differential proptest suite gates this.
+/// `cache_hits` and `cache_misses` are compiled-engine diagnostics (the
+/// interpreter has no resolution-slot caches and reports 0).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanActuals {
     /// Rows the scan considered (binding tuples completed, before the
@@ -82,8 +63,9 @@ pub struct ScanActuals {
     pub rows_scanned: u64,
     /// Rows that passed the filter.
     pub rows_matched: u64,
-    /// Columnar batches the compiled engine prefetched (0 for the
-    /// interpreter and for row-at-a-time compiled scans).
+    /// Always 0: compiled scans run row-at-a-time and no engine prefetches
+    /// columnar batches any more. Kept so existing readers of the field
+    /// (the benchmark's `query.exec.batches_per_op`) still build.
     pub batches: u64,
     /// Budget steps charged while the scan ran (0 when no
     /// [`crate::Budget`] was installed). Measured as a before/after delta
@@ -107,7 +89,7 @@ impl ScanActuals {
         *self == ScanActuals::default()
     }
 
-    /// Folds `other`'s **work counters** (rows, batches, cache traffic)
+    /// Folds `other`'s **work counters** (rows, cache traffic)
     /// into `self`. Budget charges are deliberately excluded: each frame's
     /// `steps`/`rows_charged` come from its own bracketing delta, which
     /// already includes every nested frame's charges — folding them too
@@ -115,7 +97,6 @@ impl ScanActuals {
     pub fn absorb(&mut self, other: &ScanActuals) {
         self.rows_scanned += other.rows_scanned;
         self.rows_matched += other.rows_matched;
-        self.batches += other.batches;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
     }
@@ -125,10 +106,9 @@ impl fmt::Display for ScanActuals {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "scanned={} matched={} batches={} steps={} rows_charged={} cache={}/{}",
+            "scanned={} matched={} steps={} rows_charged={} cache={}/{}",
             self.rows_scanned,
             self.rows_matched,
-            self.batches,
             self.steps,
             self.rows_charged,
             self.cache_hits,
@@ -622,7 +602,7 @@ pub fn run_query_traced(src: &dyn DataSource, query: &str) -> Result<(ov_oodb::V
         let _s = ov_oodb::span!("query.execute");
         with_scan_actuals(|| {
             collect(|| match crate::compile::try_run_compiled(src, &optimized) {
-                Some(r) => (r, Engine::compiled_now()),
+                Some(r) => (r, Engine::Compiled),
                 None => (crate::eval::eval_expr(src, &optimized), Engine::Interpreted),
             })
         })
@@ -688,7 +668,7 @@ mod tests {
             record_scan(
                 ScanKind::Parallel {
                     chunks: 4,
-                    engine: Engine::Compiled { batch: 1024 },
+                    engine: Engine::Compiled,
                 },
                 ScanActuals::default(),
             );
@@ -704,7 +684,7 @@ mod tests {
                 scans: vec![
                     ev(ScanKind::Parallel {
                         chunks: 4,
-                        engine: Engine::Compiled { batch: 1024 }
+                        engine: Engine::Compiled
                     }),
                     ev(seq())
                 ]
@@ -765,7 +745,6 @@ mod tests {
                 add_actuals(&ScanActuals {
                     rows_scanned: 10,
                     rows_matched: 4,
-                    batches: 1,
                     cache_hits: 2,
                     cache_misses: 1,
                     ..ScanActuals::default()
@@ -781,7 +760,6 @@ mod tests {
         // Work counters fold up: 10 from the inner frame + 5 direct.
         assert_eq!(outer.rows_scanned, 15);
         assert_eq!(outer.rows_matched, 4);
-        assert_eq!(outer.batches, 1);
         assert_eq!(outer.cache_hits, 2);
         assert_eq!(outer.cache_misses, 1);
         // No budget installed → no charges measured.
@@ -864,30 +842,30 @@ mod tests {
     }
 
     #[test]
-    fn compiled_scans_carry_the_engine_and_batch_marker() {
+    fn compiled_scans_carry_the_engine_marker() {
         assert_eq!(seq().to_string(), "[seq]");
         assert_eq!(
             ScanKind::Sequential {
-                engine: Engine::Compiled { batch: 1024 }
+                engine: Engine::Compiled
             }
             .to_string(),
-            "[seq compiled b=1024]"
+            "[seq compiled]"
         );
         assert_eq!(
             ScanKind::Parallel {
                 chunks: 4,
-                engine: Engine::Compiled { batch: 0 }
+                engine: Engine::Compiled
             }
             .to_string(),
-            "[parallel ×4 compiled b=0]"
+            "[parallel ×4 compiled]"
         );
         assert_eq!(
             ScanKind::IndexPushdown {
                 index: "Person.City".into(),
-                engine: Engine::Compiled { batch: 256 }
+                engine: Engine::Compiled
             }
             .to_string(),
-            "[index Person.City compiled b=256]"
+            "[index Person.City compiled]"
         );
     }
 
@@ -896,12 +874,12 @@ mod tests {
         assert_eq!(ev(seq()).to_string(), "[seq]");
         let measured = ScanEvent {
             kind: ScanKind::Sequential {
-                engine: Engine::Compiled { batch: 2 },
+                engine: Engine::Compiled,
             },
             actuals: ScanActuals {
                 rows_scanned: 6,
                 rows_matched: 2,
-                batches: 3,
+                batches: 0,
                 steps: 20,
                 rows_charged: 2,
                 cache_hits: 5,
@@ -911,7 +889,7 @@ mod tests {
         };
         assert_eq!(
             measured.to_string(),
-            "[seq compiled b=2] (scanned=6 matched=2 batches=3 steps=20 rows_charged=2 cache=5/6)"
+            "[seq compiled] (scanned=6 matched=2 steps=20 rows_charged=2 cache=5/6)"
         );
     }
 }

@@ -45,7 +45,7 @@ pub const DEFAULT_CARDINALITY: u64 = 1024;
 /// An equality probe is only worth an index round-trip when the expected
 /// candidate set is a fraction of the extent: `ndv` must exceed this.
 /// (At NDV 2 — a boolean-ish column — the "index" hands back half the
-/// extent and the batched sequential scan wins.)
+/// extent and the sequential scan wins.)
 pub const PUSHDOWN_MIN_NDV: u64 = 4;
 
 /// Estimate-vs-actual divergence (either direction, as a [`q_error`])
@@ -101,7 +101,7 @@ pub fn with_planner<R>(on: bool, f: impl FnOnce() -> R) -> R {
 /// The access path the planner chose for one scan.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Strategy {
-    /// Batched sequential compiled scan over the extent.
+    /// Sequential compiled scan over the extent.
     Seq,
     /// Probe an equality index on `attr` for `value`, then re-test the
     /// candidates. Demoted to [`Strategy::Seq`] at execution time if the
@@ -371,7 +371,7 @@ fn leg_selectivity(cs: &ClassStatistics, var: Symbol, leg: &Expr) -> f64 {
                 let Some(s) = cs.attrs.get(&attr) else {
                     return DEFAULT_SELECTIVITY;
                 };
-                // Column sketches come from *sampled* batches, so the HLL
+                // Column sketches come from *sampled* rows, so the HLL
                 // NDV is bounded by the sample size, not the extent. When
                 // the sample is (nearly) all-distinct, the column is a key
                 // as far as we can tell — extrapolate NDV to the full
@@ -463,11 +463,11 @@ pub fn estimate_select(class: Symbol, var: Symbol, filter: Option<&Expr>) -> Opt
 // ---------------------------------------------------------------------
 
 /// Is an equality-index probe on `class.attr` expected to beat the
-/// batched sequential scan? `true` when statistics are absent (the
+/// sequential scan? `true` when statistics are absent (the
 /// probe itself is cheap and execution validates), `false` when the
 /// sketch says the column is low-NDV — the candidate set would be a
 /// large slice of the extent and per-candidate retests lose to the
-/// batched scan.
+/// sequential scan.
 pub fn index_worthwhile(class: Symbol, attr: Symbol) -> bool {
     let cs = stats().class(class).snapshot();
     match cs.attrs.get(&attr) {

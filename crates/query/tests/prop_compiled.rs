@@ -172,31 +172,23 @@ fn interp_scan_all(
     })
 }
 
-/// Scans `rows` through the compiled engine in batches of `batch` rows
-/// (`0` = one chunk, no prefetch), sharing one budget across the whole
-/// scan. `None` when the predicate is uncovered.
+/// Scans `rows` through one compiled executor, row at a time, sharing one
+/// budget across the whole scan. `None` when the predicate is uncovered.
 fn compiled_scan_all(
     db: &Database,
     e: &Expr,
     rows: &[Value],
-    batch: usize,
     budget: Arc<Budget>,
 ) -> Option<(Vec<Value>, Option<QueryError>)> {
     let prog = compile_predicate(e, &[sym("V")])?;
     Some(ov_query::budget::with(budget, || {
         let mut scan = Scan::new(&prog, db);
         let mut vals = Vec::new();
-        let sub_len = if batch == 0 { rows.len().max(1) } else { batch };
-        for sub in rows.chunks(sub_len) {
-            if batch > 0 {
-                scan.begin_batch(0, sub);
-            }
-            for (i, row) in sub.iter().enumerate() {
-                scan.bind(0, row.clone());
-                match scan.run_row(0, i) {
-                    Ok(v) => vals.push(v),
-                    Err(err) => return (vals, Some(err)),
-                }
+        for row in rows {
+            scan.bind(0, row.clone());
+            match scan.run(0) {
+                Ok(v) => vals.push(v),
+                Err(err) => return (vals, Some(err)),
             }
         }
         (vals, None)
@@ -206,55 +198,44 @@ fn compiled_scan_all(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Batch boundaries are invisible: empty, one-row, odd-sized, and
-    /// over-sized batches all produce the same values, the same first
-    /// error, and the same step counts as the interpreter's row loop.
+    /// One executor over empty, one-row and multi-row scans produces the
+    /// same values, the same first error, and the same step counts as the
+    /// interpreter's row loop.
     #[test]
-    fn batch_boundaries_are_invisible(e in arb_pred(), nrows in 0usize..4) {
+    fn scans_match_the_interpreter_row_loop(e in arb_pred(), nrows in 0usize..4) {
         let db = db();
         let all = rows(&db);
         let rows = &all[..nrows.min(all.len())];
         let bi = Arc::new(Budget::new());
         let want = interp_scan_all(&db, &e, rows, bi.clone());
-        for batch in [0usize, 1, 2, 3, 5] {
-            let bc = Arc::new(Budget::new());
-            let Some(got) = compiled_scan_all(&db, &e, rows, batch, bc.clone()) else {
-                break;
-            };
-            prop_assert_eq!(&got, &want, "expr: {} (batch={})", e, batch);
-            prop_assert_eq!(
-                bc.steps_used(),
-                bi.steps_used(),
-                "step divergence on {} (batch={})",
-                e,
-                batch
-            );
-        }
+        let bc = Arc::new(Budget::new());
+        let Some(got) = compiled_scan_all(&db, &e, rows, bc.clone()) else {
+            return Ok(()); // uncovered shape
+        };
+        prop_assert_eq!(&got, &want, "expr: {}", e);
+        prop_assert_eq!(bc.steps_used(), bi.steps_used(), "step divergence on {}", e);
     }
 
-    /// A budget breach lands on the same row, with the same error and the
-    /// same step count, whether or not that row sits at a batch edge.
+    /// A budget breach mid-scan lands on the same row, with the same error
+    /// and the same step count.
     #[test]
-    fn breach_at_chunk_edges_is_bit_identical(e in arb_pred(), max_steps in 0u64..96) {
+    fn breach_mid_scan_is_bit_identical(e in arb_pred(), max_steps in 0u64..96) {
         let db = db();
         let rows = rows(&db);
         let bi = Arc::new(Budget::new().with_max_steps(max_steps));
         let want = interp_scan_all(&db, &e, &rows, bi.clone());
-        for batch in [0usize, 1, 2, 3] {
-            let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-            let Some(got) = compiled_scan_all(&db, &e, &rows, batch, bc.clone()) else {
-                break;
-            };
-            prop_assert_eq!(&got, &want, "expr: {} (batch={}, max_steps={})", e, batch, max_steps);
-            prop_assert_eq!(
-                bc.steps_used(),
-                bi.steps_used(),
-                "step divergence on {} (batch={}, max_steps={})",
-                e,
-                batch,
-                max_steps
-            );
-        }
+        let bc = Arc::new(Budget::new().with_max_steps(max_steps));
+        let Some(got) = compiled_scan_all(&db, &e, &rows, bc.clone()) else {
+            return Ok(()); // uncovered shape
+        };
+        prop_assert_eq!(&got, &want, "expr: {} (max_steps={})", e, max_steps);
+        prop_assert_eq!(
+            bc.steps_used(),
+            bi.steps_used(),
+            "step divergence on {} (max_steps={})",
+            e,
+            max_steps
+        );
     }
 
     /// Same value, or the same error (variant *and* payload), on every row.
@@ -293,14 +274,13 @@ proptest! {
         }
     }
 
-    /// EXPLAIN ANALYZE actuals are engine- and batch-invariant: for one
-    /// query, the tree-walking interpreter and the compiled engine at batch
-    /// widths 0, 1, 3, and 1024 report identical rows-scanned,
-    /// rows-matched, and budget-step actuals in the query trace (batches
-    /// and resolution-cache counters are compiled-engine diagnostics and
-    /// legitimately differ).
+    /// EXPLAIN ANALYZE actuals are engine-invariant: for one query, the
+    /// tree-walking interpreter and the compiled engine report identical
+    /// rows-scanned, rows-matched, and budget-step actuals in the query
+    /// trace (resolution-cache counters are compiled-engine diagnostics
+    /// and legitimately differ).
     #[test]
-    fn actuals_are_engine_and_batch_invariant(
+    fn actuals_are_engine_invariant(
         threshold in -5i64..105,
         q_idx in 0usize..4,
     ) {
@@ -315,32 +295,19 @@ proptest! {
         let q = &queries[q_idx];
         // Each run gets a fresh unlimited budget so the trace's `steps`
         // actual (a bracketed budget delta) is populated and comparable.
-        let mut runs = Vec::new();
-        let (v, trace) = ov_query::budget::with(Arc::new(Budget::new()), || {
-            ov_query::with_engine_mode(EngineMode::Interp, || run_query_traced(&db, q))
-        }).unwrap();
-        runs.push(("interp".to_string(), v, trace.actuals));
-        for batch in [0usize, 1, 3, 1024] {
-            let (v, trace) = ov_query::budget::with(Arc::new(Budget::new()), || {
-                ov_query::with_engine_mode(EngineMode::Compiled, || {
-                    ov_query::with_batch_rows(batch, || run_query_traced(&db, q))
-                })
-            }).unwrap();
-            runs.push((format!("compiled b={batch}"), v, trace.actuals));
-        }
-        let (_, v0, a0) = runs[0].clone();
-        for (label, v, a) in &runs[1..] {
-            prop_assert_eq!(v, &v0, "result divergence: {} on `{}`", label, q);
-            prop_assert_eq!(
-                a.rows_scanned, a0.rows_scanned,
-                "rows_scanned: {} on `{}`", label, q
-            );
-            prop_assert_eq!(
-                a.rows_matched, a0.rows_matched,
-                "rows_matched: {} on `{}`", label, q
-            );
-            prop_assert_eq!(a.steps, a0.steps, "steps: {} on `{}`", label, q);
-        }
+        let run = |mode: EngineMode| {
+            ov_query::budget::with(Arc::new(Budget::new()), || {
+                ov_query::with_engine_mode(mode, || run_query_traced(&db, q))
+            })
+            .unwrap()
+        };
+        let (v0, t0) = run(EngineMode::Interp);
+        let (v, t) = run(EngineMode::Compiled);
+        let (a0, a) = (t0.actuals, t.actuals);
+        prop_assert_eq!(v, v0, "result divergence on `{}`", q);
+        prop_assert_eq!(a.rows_scanned, a0.rows_scanned, "rows_scanned on `{}`", q);
+        prop_assert_eq!(a.rows_matched, a0.rows_matched, "rows_matched on `{}`", q);
+        prop_assert_eq!(a.steps, a0.steps, "steps on `{}`", q);
     }
 
     /// With no budget cap, an uncapped run still meters the same steps —
@@ -446,7 +413,7 @@ proptest! {
 
     /// Nested sub-selects (correlated and not, `exists` and value-compared,
     /// `the` and plain): values, error variants, budget breach points, and
-    /// step counts are identical across engines and batch widths.
+    /// step counts are identical across engines.
     #[test]
     fn nested_selects_are_bit_identical(
         filter in arb_pred2("Q", "V"),
@@ -459,28 +426,23 @@ proptest! {
         let e = nested_pred(exists, the, filter);
         let bi = Arc::new(Budget::new().with_max_steps(max_steps));
         let want = interp_scan_all(&db, &e, &rows, bi.clone());
-        for batch in [0usize, 1, 3, 1024] {
-            let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-            let Some(got) = ov_query::with_batch_rows(batch, || {
-                compiled_scan_all(&db, &e, &rows, batch, bc.clone())
-            }) else {
-                return Ok(()); // uncovered tail shape
-            };
-            prop_assert_eq!(&got, &want, "expr: {} (batch={}, max_steps={})", e, batch, max_steps);
-            prop_assert_eq!(
-                bc.steps_used(),
-                bi.steps_used(),
-                "step divergence on {} (batch={}, max_steps={})",
-                e,
-                batch,
-                max_steps
-            );
-        }
+        let bc = Arc::new(Budget::new().with_max_steps(max_steps));
+        let Some(got) = compiled_scan_all(&db, &e, &rows, bc.clone()) else {
+            return Ok(()); // uncovered tail shape
+        };
+        prop_assert_eq!(&got, &want, "expr: {} (max_steps={})", e, max_steps);
+        prop_assert_eq!(
+            bc.steps_used(),
+            bi.steps_used(),
+            "step divergence on {} (max_steps={})",
+            e,
+            max_steps
+        );
     }
 
     /// Top-level multi-binding selects: the compiled nested-loop produces
     /// the same value (or the same error, at the same budget breach point,
-    /// with the same step count) as the interpreter, at every batch width.
+    /// with the same step count) as the interpreter.
     #[test]
     fn multi_binding_selects_are_bit_identical(
         filter in arb_pred2("V", "W"),
@@ -497,21 +459,16 @@ proptest! {
         let Some(prog) = compile_predicate(&e, &[]) else {
             return Ok(()); // uncovered tail shape in the filter
         };
-        for batch in [0usize, 1, 3, 1024] {
-            let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-            let got = ov_query::with_batch_rows(batch, || {
-                ov_query::budget::with(bc.clone(), || Scan::new(&prog, &db).run(0))
-            });
-            prop_assert_eq!(&got, &want, "expr: {} (batch={}, max_steps={})", e, batch, max_steps);
-            prop_assert_eq!(
-                bc.steps_used(),
-                bi.steps_used(),
-                "step divergence on {} (batch={}, max_steps={})",
-                e,
-                batch,
-                max_steps
-            );
-        }
+        let bc = Arc::new(Budget::new().with_max_steps(max_steps));
+        let got = ov_query::budget::with(bc.clone(), || Scan::new(&prog, &db).run(0));
+        prop_assert_eq!(&got, &want, "expr: {} (max_steps={})", e, max_steps);
+        prop_assert_eq!(
+            bc.steps_used(),
+            bi.steps_used(),
+            "step divergence on {} (max_steps={})",
+            e,
+            max_steps
+        );
     }
 }
 
@@ -563,29 +520,24 @@ proptest! {
 
     /// Aggregates compile, and match the interpreter bit for bit: the same
     /// value or error, the same step count, and a budget breach at the
-    /// same point, at every batch width.
+    /// same point.
     #[test]
     fn aggregates_are_bit_identical(e in arb_agg(), max_steps in 0u64..400) {
         let db = db();
         let rows = rows(&db);
         let bi = Arc::new(Budget::new().with_max_steps(max_steps));
         let want = interp_scan_all(&db, &e, &rows, bi.clone());
-        for batch in [0usize, 1, 3, 1024] {
-            let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-            let got = ov_query::with_batch_rows(batch, || {
-                compiled_scan_all(&db, &e, &rows, batch, bc.clone())
-            });
-            prop_assert!(got.is_some(), "`{}` should compile", e);
-            prop_assert_eq!(&got.unwrap(), &want, "expr: {} (batch={}, max_steps={})", e, batch, max_steps);
-            prop_assert_eq!(
-                bc.steps_used(),
-                bi.steps_used(),
-                "step divergence on {} (batch={}, max_steps={})",
-                e,
-                batch,
-                max_steps
-            );
-        }
+        let bc = Arc::new(Budget::new().with_max_steps(max_steps));
+        let got = compiled_scan_all(&db, &e, &rows, bc.clone());
+        prop_assert!(got.is_some(), "`{}` should compile", e);
+        prop_assert_eq!(&got.unwrap(), &want, "expr: {} (max_steps={})", e, max_steps);
+        prop_assert_eq!(
+            bc.steps_used(),
+            bi.steps_used(),
+            "step divergence on {} (max_steps={})",
+            e,
+            max_steps
+        );
     }
 }
 
@@ -605,11 +557,9 @@ fn aggregate_errors_match_the_interpreter() {
         let e = ov_query::parse_expr(src).unwrap();
         let want = interp_scan_all(&db, &e, &rows, Arc::new(Budget::new()));
         assert!(want.1.is_some(), "`{src}` should error");
-        for batch in [0usize, 1, 3, 1024] {
-            let got = compiled_scan_all(&db, &e, &rows, batch, Arc::new(Budget::new()))
-                .unwrap_or_else(|| panic!("`{src}` should compile"));
-            assert_eq!(got, want, "`{src}` (batch={batch})");
-        }
+        let got = compiled_scan_all(&db, &e, &rows, Arc::new(Budget::new()))
+            .unwrap_or_else(|| panic!("`{src}` should compile"));
+        assert_eq!(got, want, "`{src}`");
     }
 }
 
@@ -670,12 +620,10 @@ proptest! {
     }
 }
 
-/// An injected fault mid-scan surfaces identically through both engines
-/// and at every batch size (a fault firing mid-batch must not change the
-/// error, and prefetching must not change what a fault observes): the
-/// parallel scan's per-chunk failpoint fires before any predicate runs, so
-/// the resulting error is engine- and batch-independent — and with faults
-/// cleared, everyone agrees on the result.
+/// An injected fault mid-scan surfaces identically through both engines:
+/// the parallel scan's per-chunk failpoint fires before any predicate
+/// runs, so the resulting error is engine-independent — and with faults
+/// cleared, both engines agree on the result.
 #[test]
 fn injected_faults_surface_identically() {
     use ov_query::ParallelConfig;
@@ -714,38 +662,30 @@ fn injected_faults_surface_identically_for(db: &Database, cfg: &ov_query::Parall
     // Thread-scoped overrides: this test no longer mutates the process
     // default, so it cannot leak engine mode into concurrently running
     // tests.
-    let run_with = |mode: EngineMode, batch: usize| {
-        ov_query::with_engine_mode(mode, || {
-            ov_query::with_batch_rows(batch, || run_query_parallel(db, cfg, q))
-        })
-    };
+    let run_with =
+        |mode: EngineMode| ov_query::with_engine_mode(mode, || run_query_parallel(db, cfg, q));
 
-    // Batch 3 leaves odd-sized tails in every 16-row chunk; 1024 makes one
-    // whole-chunk batch; 0 disables batching outright.
-    for batch in [0usize, 1, 3, 1024] {
-        // Fault on the 2nd chunk: both engines die with the same typed
-        // error, at every batch size.
-        arm(
-            "query.scan_chunk",
-            FaultSchedule::Nth(2),
-            FaultAction::Error,
-        );
-        let compiled_err = run_with(EngineMode::Compiled, batch);
-        clear();
-        arm(
-            "query.scan_chunk",
-            FaultSchedule::Nth(2),
-            FaultAction::Error,
-        );
-        let interp_err = run_with(EngineMode::Interp, batch);
-        clear();
-        assert!(compiled_err.is_err(), "fault must surface (batch={batch})");
-        assert_eq!(compiled_err, interp_err, "batch={batch}");
+    // Fault on the 2nd chunk: both engines die with the same typed error.
+    arm(
+        "query.scan_chunk",
+        FaultSchedule::Nth(2),
+        FaultAction::Error,
+    );
+    let compiled_err = run_with(EngineMode::Compiled);
+    clear();
+    arm(
+        "query.scan_chunk",
+        FaultSchedule::Nth(2),
+        FaultAction::Error,
+    );
+    let interp_err = run_with(EngineMode::Interp);
+    clear();
+    assert!(compiled_err.is_err(), "fault must surface");
+    assert_eq!(compiled_err, interp_err);
 
-        // Faults cleared: both engines agree on the value.
-        let compiled_ok = run_with(EngineMode::Compiled, batch);
-        let interp_ok = run_with(EngineMode::Interp, batch);
-        assert!(compiled_ok.is_ok(), "batch={batch}");
-        assert_eq!(compiled_ok, interp_ok, "batch={batch}");
-    }
+    // Faults cleared: both engines agree on the value.
+    let compiled_ok = run_with(EngineMode::Compiled);
+    let interp_ok = run_with(EngineMode::Interp);
+    assert!(compiled_ok.is_ok());
+    assert_eq!(compiled_ok, interp_ok);
 }
